@@ -24,7 +24,6 @@ import (
 	"strex/internal/sim"
 	"strex/internal/smt"
 	"strex/internal/tpcc"
-	"strex/internal/trace"
 	"strex/internal/workload"
 )
 
@@ -289,7 +288,7 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			cfg := sim.DefaultConfig(cores)
 			eng := sim.New(cfg, wlSet(w), s.mk())
-			eng.Run() // warm-up: compile segment tables, size the arenas
+			eng.Run() // warm-up: size the arenas
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Reset(cfg, wlSet(w), s.mk())
@@ -314,7 +313,7 @@ func BenchmarkStepEntrySec(b *testing.B) {
 	cfg := sim.DefaultConfig(1)
 	bl := sched.NewBaseline()
 	eng := sim.New(cfg, wlSet(w), bl)
-	eng.Run() // warm-up: compile segment tables, size arenas and index pages
+	eng.Run() // warm-up: size arenas and index pages
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -349,13 +348,8 @@ func TestBenchSimJSON(t *testing.T) {
 		Cores         int                `json:"cores"`
 		TraceEntries  uint64             `json:"trace_entries"`
 		EntriesPerSec map[string]float64 `json:"entries_per_sec"`
-		// Segment-compilation cost, reported separately so the one-time
-		// compile pass stays visible next to the replay rates it buys.
-		SegCompileTables uint64  `json:"segment_compile_tables"`
-		SegCompileSegs   uint64  `json:"segment_compile_segments"`
-		SegCompileSecs   float64 `json:"segment_compile_secs"`
-		SuiteColdSecs    float64 `json:"suite_cold_secs"`
-		SuiteScale       string  `json:"suite_scale"`
+		SuiteColdSecs float64            `json:"suite_cold_secs"`
+		SuiteScale    string             `json:"suite_scale"`
 	}
 	rec := record{
 		Workload: "tpcc", Txns: 40, Cores: cores, TraceEntries: entries,
@@ -365,7 +359,7 @@ func TestBenchSimJSON(t *testing.T) {
 	for _, s := range engineBenchScheds(w, cores) {
 		cfg := sim.DefaultConfig(cores)
 		eng := sim.New(cfg, wlSet(w), s.mk())
-		eng.Run() // warm-up: compile segment tables, size the arenas
+		eng.Run() // warm-up: size the arenas
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.Reset(cfg, wlSet(w), s.mk())
@@ -376,11 +370,6 @@ func TestBenchSimJSON(t *testing.T) {
 			rec.EntriesPerSec[s.name] = float64(entries) * float64(res.N) / secs
 		}
 	}
-	tables, _, segs, nanos := trace.CompileStats()
-	rec.SegCompileTables = tables
-	rec.SegCompileSegs = segs
-	rec.SegCompileSecs = float64(nanos) / 1e9
-
 	// Cold-suite wall clock: regenerate and re-simulate a fixed slice of
 	// the experiment suite with no cache, serially, so the number is a
 	// stable simulator-speed proxy rather than a parallelism measurement.

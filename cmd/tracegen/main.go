@@ -155,7 +155,7 @@ func printInfo(path string) error {
 	fmt.Printf("set           %s\n", m.SetName)
 	fmt.Printf("txns          %d across %d types\n", m.Txns, len(m.Types))
 	fmt.Printf("entries       %d (%d instrs, %d loads, %d stores)\n", m.Entries, m.Instrs, m.Loads, m.Stores)
-	fmt.Printf("segments      %d\n", m.Segments)
+	fmt.Printf("instr runs    %d\n", m.InstrRuns)
 	fmt.Printf("data blocks   %d\n", m.DataBlocks)
 	fmt.Printf("code layout   %d functions\n", len(m.Funcs))
 	return nil

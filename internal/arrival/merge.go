@@ -89,8 +89,8 @@ func MergeTenants(tenants []Tenant) (*Mix, error) {
 	var slots []slot
 	for i, tn := range tenants {
 		// Clone before rewriting: sets are read-only once shared
-		// (workload ownership rule), and the segment cache recompiles
-		// lazily on the clone's rewritten entries.
+		// (workload ownership rule), so the block offsets below must not
+		// reach the tenant's own buffers.
 		cl := tn.Set.Clone()
 		typeOff := len(merged.Types)
 		for _, ty := range tn.Set.Types {

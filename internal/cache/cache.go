@@ -128,8 +128,6 @@ type Cache struct {
 	// freeCount tracks invalid lines per set so the miss path only scans
 	// for a free way during cold fill, never in the steady state.
 	freeCount []int32
-	// collapseOK caches pol.collapseSafe() (see CollapseSafe).
-	collapseOK bool
 
 	// hasPF is set by the first InsertPrefetch and never cleared: while
 	// false (every cache except an L1-I under an active prefetcher) the
@@ -179,7 +177,6 @@ func New(cfg Config) *Cache {
 	case *matrix16Policy:
 		c.mat16 = p
 	}
-	c.collapseOK = c.pol.collapseSafe()
 	return c
 }
 
@@ -370,15 +367,6 @@ func (c *Cache) access(block uint32, write bool, phaseID uint8, tagPhase bool) A
 	return c.fill(set, free, block, write, phaseID)
 }
 
-// Probe reports whether block is resident without touching statistics or
-// replacement state — the read-only fast path the engine's hit-run loop
-// and coherence-style snoops use. Identical to Contains; kept separate
-// so hot-loop call sites document their intent.
-func (c *Cache) Probe(block uint32) bool {
-	_, way, _ := c.find(block)
-	return way >= 0
-}
-
 // AccessHit performs a demand access if and only if it would hit in a
 // line with no pending prefetch credit, returning whether it did. On
 // true the access is fully accounted (hit statistics, replacement
@@ -412,65 +400,6 @@ func (c *Cache) AccessHit(block uint32, phaseID uint8, tagPhase bool) bool {
 	c.Stats.Hits++
 	c.polOnHit(set, way)
 	return true
-}
-
-// CollapseSafe reports whether the replacement policy tolerates
-// collapsed hit runs: a sequence of hits may be applied as one promote
-// per distinct block, in last-occurrence order, with no observable
-// difference in any future victim choice. This licenses ApplyHitRun —
-// the segment-replay primitive. True for every policy the simulator
-// configures except LIP/BIP (see policy.collapseSafe).
-func (c *Cache) CollapseSafe() bool { return c.collapseOK }
-
-// ResidentRun reports whether every block in blocks is resident with no
-// pending prefetch credit — the precondition for ApplyHitRun. Purely a
-// probe: no statistics, no replacement state.
-func (c *Cache) ResidentRun(blocks []uint32) bool {
-	for _, b := range blocks {
-		p := b >> locPageBits
-		if int(p) >= len(c.loc) {
-			return false
-		}
-		pg := c.loc[p]
-		if pg == nil || pg[b&locPageMask] == 0 {
-			return false
-		}
-	}
-	if c.hasPF {
-		// A first demand touch of a prefetched line carries result bits
-		// the per-entry path must surface; such a run is not collapsible.
-		for _, b := range blocks {
-			set := c.setOf(b)
-			way := int(c.loc[b>>locPageBits][b&locPageMask]) - 1
-			if c.meta[set*c.ways+way]&metaPF != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ApplyHitRun accounts a compiled segment of entries instruction hits
-// over its footprint blocks (distinct, last-occurrence order) as one
-// batch: per-block replacement promotion and phase tagging, batched hit
-// statistics. The caller must have established ResidentRun(blocks) and
-// CollapseSafe(); under those preconditions the cache ends in a state
-// the per-entry AccessHit sequence could not distinguish (docs/ENGINE.md
-// gives the argument).
-func (c *Cache) ApplyHitRun(blocks []uint32, entries int, phaseID uint8, tagPhase bool) {
-	for _, b := range blocks {
-		set := c.setOf(b)
-		way := int(c.loc[b>>locPageBits][b&locPageMask]) - 1
-		c.polOnHit(set, way)
-		if tagPhase {
-			idx := set*c.ways + way
-			if nm := c.meta[idx]&0x00FF | uint16(phaseID)<<8; nm != c.meta[idx] {
-				c.meta[idx] = nm
-			}
-		}
-	}
-	c.Stats.Accesses += uint64(entries)
-	c.Stats.Hits += uint64(entries)
 }
 
 // fill installs block into set at the given free way (-1 = set full,

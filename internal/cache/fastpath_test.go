@@ -6,29 +6,29 @@ import (
 	"strex/internal/xrand"
 )
 
-// The hit-run fast path (Probe / AccessHit) must be observably
-// indistinguishable from the general access path: Probe free of side
+// The hit-run fast path and the read-only snoop must be observably
+// indistinguishable from the general access path: Contains free of side
 // effects, AccessHit exactly the hit half of Access/Touch.
 
 func TestProbeHasNoSideEffects(t *testing.T) {
 	c := smallCache(LRU)
-	if c.Probe(3) {
+	if c.Contains(3) {
 		t.Fatal("empty cache claims residency")
 	}
 	if c.Stats.Accesses != 0 || c.Stats.Misses != 0 {
 		t.Fatalf("probe touched stats: %+v", c.Stats)
 	}
 	c.Access(3, false)
-	if !c.Probe(3) {
+	if !c.Contains(3) {
 		t.Fatal("probe misses a resident block")
 	}
-	// Probe must not promote: fill set 0 (blocks 0 and 4 share a set in
+	// Contains must not promote: fill set 0 (blocks 0 and 4 share a set in
 	// the 4-set cache), probe the LRU way, then fill — the probed line
 	// must still be the victim.
 	c = smallCache(LRU)
 	c.Access(0, false) // LRU after next access
 	c.Access(4, false)
-	c.Probe(0) // would promote if it were an access
+	c.Contains(0) // would promote if it were an access
 	r := c.Access(8, false)
 	if !r.Evicted || r.VictimBlock != 0 {
 		t.Fatalf("probe disturbed replacement state: victim %+v", r)

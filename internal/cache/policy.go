@@ -68,17 +68,6 @@ type policy interface {
 	// (engine pooling reuses caches across runs), reseeding any bimodal
 	// dice from seed.
 	reset(seed uint64)
-	// collapseSafe reports whether a run of onHit calls may be collapsed
-	// to one promote per distinct way, applied in last-occurrence order:
-	// the final policy state must be unable to influence any future
-	// victim choice differently from the full per-hit sequence. True for
-	// the matrix orders (exact final state), the timestamp stack with
-	// MRU insertion (relative order preserved; victims compare stamps
-	// only relatively) and RRIP (hit promotion is idempotent,
-	// order-free). False for LIP/BIP: their insert-at-LRU stamps derive
-	// from the set's minimum with a floor, so absolute stamp values —
-	// which collapsing changes — can reach the tie-breaking floor.
-	collapseSafe() bool
 }
 
 func newPolicy(kind PolicyKind, sets, ways int, rng *xrand.RNG) policy {
@@ -223,8 +212,6 @@ func (p *stackPolicy) reset(seed uint64) {
 	}
 }
 
-func (p *stackPolicy) collapseSafe() bool { return p.mode == insertMRU }
-
 // --- matrix form of the recency-stack policies (ways ≤ 8) ---
 
 // matrixPolicy packs a set's full recency order into one uint64 as the
@@ -286,8 +273,6 @@ func (p *matrixPolicy) victim(set int) int {
 func (p *matrixPolicy) peekVictim(set int) int { return p.victim(set) }
 
 func (p *matrixPolicy) reset(uint64) { clear(p.m) }
-
-func (p *matrixPolicy) collapseSafe() bool { return true }
 
 // matrix16Policy is the 16-way form of the LRU matrix (the shared L2):
 // a 16x16 recency matrix per set packed into four uint64 words, four
@@ -360,8 +345,6 @@ func (p *matrix16Policy) victim(set int) int {
 func (p *matrix16Policy) peekVictim(set int) int { return p.victim(set) }
 
 func (p *matrix16Policy) reset(uint64) { clear(p.m) }
-
-func (p *matrix16Policy) collapseSafe() bool { return true }
 
 // --- RRIP policies (SRRIP / BRRIP) ---
 
@@ -436,5 +419,3 @@ func (r *rrip) reset(seed uint64) {
 		r.rng.Reseed(seed)
 	}
 }
-
-func (r *rrip) collapseSafe() bool { return true }

@@ -112,75 +112,3 @@ func TestLocIndexConsistency(t *testing.T) {
 		t.Fatal("never-inserted block reported resident")
 	}
 }
-
-// TestApplyHitRunMatchesPerEntry replays a synthetic hit run two ways —
-// per-entry AccessHit versus ResidentRun+ApplyHitRun over the collapsed
-// footprint — and requires identical subsequent behaviour and stats for
-// every collapse-safe policy.
-func TestApplyHitRunMatchesPerEntry(t *testing.T) {
-	for _, pol := range []PolicyKind{LRU, SRRIP, BRRIP} {
-		mk := func() *Cache {
-			c := New(Config{SizeBytes: 1024, BlockBytes: 64, Ways: 8, Policy: pol, Seed: 9})
-			if !c.CollapseSafe() {
-				t.Fatalf("%v unexpectedly not collapse-safe", pol)
-			}
-			// Fill one set exactly (8 ways) so promotes are
-			// order-sensitive and the run below hits.
-			for b := uint32(0); b < 8; b++ {
-				c.Access(b*uint32(c.Sets()), false)
-			}
-			return c
-		}
-		// Entry sequence with duplicates; same set (stride = sets).
-		entryBlocks := []uint32{0, 2, 0, 5, 2, 7}
-		stride := uint32(mk().Sets())
-		var run []uint32
-		for _, b := range entryBlocks {
-			run = append(run, b*stride)
-		}
-		// Collapsed footprint in last-occurrence order: 0, 5, 2, 7.
-		collapsed := []uint32{0 * stride, 5 * stride, 2 * stride, 7 * stride}
-
-		a, b := mk(), mk()
-		for _, blk := range run {
-			if !a.AccessHit(blk, 3, true) {
-				t.Fatalf("%v: expected hit on %d", pol, blk)
-			}
-		}
-		if !b.ResidentRun(collapsed) {
-			t.Fatalf("%v: footprint not resident", pol)
-		}
-		b.ApplyHitRun(collapsed, len(run), 3, true)
-
-		if a.Stats != b.Stats {
-			t.Errorf("%v: stats diverged: per-entry %+v collapsed %+v", pol, a.Stats, b.Stats)
-		}
-		fpA := accessSeq(a, 21, 4000)
-		fpB := accessSeq(b, 21, 4000)
-		if fpA != fpB {
-			t.Errorf("%v: collapsed apply diverged from per-entry (fp %x vs %x)", pol, fpB, fpA)
-		}
-	}
-}
-
-// TestResidentRunRejectsPrefetchCredit ensures a pending prefetched
-// line blocks segment application (the per-entry path must surface the
-// PrefetchHit result).
-func TestResidentRunRejectsPrefetchCredit(t *testing.T) {
-	c := New(Config{SizeBytes: 1024, BlockBytes: 64, Ways: 8, Policy: LRU, Seed: 1})
-	c.Access(1, false)
-	c.InsertPrefetch(3)
-	if !c.ResidentRun([]uint32{1}) {
-		t.Fatal("demand-filled line rejected")
-	}
-	if c.ResidentRun([]uint32{1, 3}) {
-		t.Fatal("prefetched line accepted before demand touch")
-	}
-	if c.ResidentRun([]uint32{1, 5}) {
-		t.Fatal("absent block accepted")
-	}
-	c.Access(3, false) // demand touch clears the credit
-	if !c.ResidentRun([]uint32{1, 3}) {
-		t.Fatal("line rejected after credit cleared")
-	}
-}

@@ -7,12 +7,14 @@ import (
 )
 
 // Timeline event kinds. A quantum span covers one scheduling quantum of
-// a transaction on a core; seg-run and hit-run spans mark the stretches
-// inside a quantum the engine absorbed without per-entry stepping
-// (segment replay and L1-hit batching respectively) — the mechanism
-// behind STREX's stratified I-cache wins, made visible.
+// a transaction on a core; a hit-run span marks a stretch of consecutive
+// L1-I hits inside a quantum that the engine's step loop absorbed
+// without per-entry stepping.
 const (
 	KindQuantum = uint8(iota)
+	// KindSegRun is never emitted: the engine has no segment replay. It
+	// remains only because the benchmark module in perfbench/ still
+	// counts spans of this kind.
 	KindSegRun
 	KindHitRun
 )
@@ -40,7 +42,7 @@ type Event struct {
 	Start   uint64 // cycles
 	End     uint64 // cycles
 	Instrs  uint64 // quantum: instructions retired in the span
-	Entries uint64 // seg/hit spans: trace entries absorbed
+	Entries uint64 // hit-run spans: trace entries absorbed
 }
 
 // Timeline is a preallocated ring of engine events. It is opt-in and
@@ -103,14 +105,14 @@ func (t *Timeline) Quantum(core int, txn, txnType int, start, end uint64, reason
 	})
 }
 
-// Absorb records a seg-run or hit-run absorption span of entries trace
-// entries on core over [start, end) cycles.
-func (t *Timeline) Absorb(kind uint8, core int, txn int, start, end uint64, entries uint64) {
+// Absorb records a hit-run span of entries trace entries on core over
+// [start, end) cycles.
+func (t *Timeline) Absorb(core int, txn int, start, end uint64, entries uint64) {
 	if t == nil || end <= start {
 		return
 	}
 	t.record(Event{
-		Kind: kind,
+		Kind: KindHitRun,
 		Core: int32(core), Txn: int32(txn), TxnType: -1,
 		Start: start, End: end, Entries: entries,
 	})
@@ -215,10 +217,6 @@ func (t *Timeline) WriteChrome(w io.Writer) error {
 				if e.TxnType >= 0 {
 					ce.Args["type"] = e.TxnType
 				}
-			case KindSegRun:
-				ce.Cat = "absorb"
-				ce.Name = "seg-run"
-				ce.Args = map[string]any{"entries": e.Entries}
 			case KindHitRun:
 				ce.Cat = "absorb"
 				ce.Name = "hit-run"

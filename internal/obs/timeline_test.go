@@ -23,8 +23,7 @@ func TestTimelineWriteChrome(t *testing.T) {
 	tl := NewTimeline(16)
 	tl.SetMeta("tatp", "strat", 2)
 	tl.Quantum(0, 3, 1, 0, 100, ReasonYield, 80)
-	tl.Absorb(KindSegRun, 0, 3, 10, 40, 30)
-	tl.Absorb(KindHitRun, 0, 3, 40, 60, 20)
+	tl.Absorb(0, 3, 10, 40, 30)
 	tl.Quantum(1, 4, 2, 5, 150, ReasonComplete, 120)
 
 	var b bytes.Buffer
@@ -35,14 +34,14 @@ func TestTimelineWriteChrome(t *testing.T) {
 	events := doc["traceEvents"].([]any)
 
 	var xCount, metaCount int
-	var sawSeg, sawQuantum bool
+	var sawHit, sawQuantum bool
 	for _, raw := range events {
 		e := raw.(map[string]any)
 		switch e["ph"] {
 		case "X":
 			xCount++
-			if e["name"] == "seg-run" {
-				sawSeg = true
+			if e["name"] == "hit-run" {
+				sawHit = true
 			}
 			if e["name"] == "txn 3" {
 				sawQuantum = true
@@ -58,11 +57,11 @@ func TestTimelineWriteChrome(t *testing.T) {
 			metaCount++
 		}
 	}
-	if xCount != 4 {
-		t.Fatalf("X events %d, want 4", xCount)
+	if xCount != 3 {
+		t.Fatalf("X events %d, want 3", xCount)
 	}
-	if !sawSeg || !sawQuantum {
-		t.Fatalf("missing spans: seg=%v quantum=%v", sawSeg, sawQuantum)
+	if !sawHit || !sawQuantum {
+		t.Fatalf("missing spans: hit=%v quantum=%v", sawHit, sawQuantum)
 	}
 	// process_name + one thread_name per core.
 	if metaCount != 3 {
@@ -98,7 +97,7 @@ func TestTimelineNilInert(t *testing.T) {
 	var tl *Timeline
 	tl.SetMeta("w", "s", 1)
 	tl.Quantum(0, 0, 0, 0, 10, ReasonComplete, 1)
-	tl.Absorb(KindHitRun, 0, 0, 0, 5, 5)
+	tl.Absorb(0, 0, 0, 5, 5)
 	if tl.Len() != 0 || tl.Dropped() != 0 || tl.Events() != nil {
 		t.Fatal("nil timeline recorded something")
 	}
@@ -112,7 +111,7 @@ func TestTimelineNilInert(t *testing.T) {
 func TestTimelineIgnoresEmptySpans(t *testing.T) {
 	tl := NewTimeline(4)
 	tl.Quantum(0, 1, 0, 50, 50, ReasonYield, 0) // zero-length
-	tl.Absorb(KindSegRun, 0, 1, 60, 55, 3)      // end < start
+	tl.Absorb(0, 1, 60, 55, 3)                  // end < start
 	if tl.Len() != 0 {
 		t.Fatalf("recorded %d degenerate spans", tl.Len())
 	}

@@ -9,7 +9,6 @@ import (
 
 	"strex/internal/bench"
 	"strex/internal/sim"
-	"strex/internal/workload"
 )
 
 func testCache(t *testing.T) *Cache {
@@ -59,14 +58,6 @@ func TestSetRoundTripAndStats(t *testing.T) {
 	got, ok := c.GetSet(key)
 	if !ok {
 		t.Fatal("miss after put")
-	}
-	// Drop the lazy compiled-segment caches before the structural
-	// compare: the tracefile codec warms them as it verifies, and the
-	// cache is derived state, not part of the persisted value.
-	for _, s := range []*workload.Set{set, got} {
-		for _, tx := range s.Txns {
-			tx.Trace.DropSegments()
-		}
 	}
 	if !reflect.DeepEqual(set, got) {
 		t.Fatal("cached set differs")

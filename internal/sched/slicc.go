@@ -270,7 +270,7 @@ func (s *Slicc) OnEvent(coreID int, ev sim.Event) (sim.Action, int) {
 		score := 0
 		l1i := s.e.Core(c).L1I
 		st.eachMiss(s.missQLen, func(b uint32) {
-			if l1i.Probe(b) { // read-only snoop: no stats, no LRU disturbance
+			if l1i.Contains(b) { // read-only snoop: no stats, no LRU disturbance
 				score++
 			}
 		})

@@ -386,9 +386,11 @@ func (s *Server) runFlight(fl *flight) {
 		j.state = StateRunning
 		j.started = now
 	}
+	// Submit may attach followers as soon as the lock is released.
+	jobs := len(fl.jobs)
 	s.mu.Unlock()
 	s.log.Info("flight started", "key", fl.key, "client", fl.client,
-		"workload", fl.spec.Workload, "jobs", len(fl.jobs), "wait_ms", now.Sub(fl.enqueued).Milliseconds())
+		"workload", fl.spec.Workload, "jobs", jobs, "wait_ms", now.Sub(fl.enqueued).Milliseconds())
 
 	spec := fl.spec
 	var tl *obs.Timeline

@@ -241,6 +241,71 @@ func TestCoalescingSingleflight(t *testing.T) {
 	}
 }
 
+// TestCoalesceOntoRunningFlight attaches followers to a flight that has
+// already started, the case TestCoalescingSingleflight (which attaches
+// while the flight is still queued) leaves out: followers start in the
+// running state, share the leader's bytes and charge no generations.
+// Run it under -race: Submit appends to the flight's job list while the
+// dispatcher is still starting the flight.
+func TestCoalesceOntoRunningFlight(t *testing.T) {
+	s, hs := newTestServer(t, Config{Parallel: 1})
+	spec := blockerSpec(5)
+	lead, code := postJob(t, hs, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("leader submit = %d", code)
+	}
+	waitState(t, s, lead.ID, StateRunning)
+
+	const followers = 4
+	sts := make([]JobStatus, followers)
+	codes := make([]int, followers)
+	var wg sync.WaitGroup
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f := spec
+			f.ClientID = fmt.Sprintf("follower-%d", i)
+			body, _ := json.Marshal(f)
+			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			if err := json.NewDecoder(resp.Body).Decode(&sts[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	fin := waitState(t, s, lead.ID, StateDone)
+	if fin.Coalesced || fin.Generations == nil || *fin.Generations != 1 {
+		t.Fatalf("leader coalesced=%v generations=%v, want a fresh leader with 1", fin.Coalesced, fin.Generations)
+	}
+	_, _, leadRaw := getResultRaw(t, hs, lead.ID)
+	for i, st := range sts {
+		if codes[i] != http.StatusAccepted || !st.Coalesced || st.State != StateRunning {
+			t.Fatalf("follower %d: status %d coalesced=%v state=%s, want 202, coalesced, %s",
+				i, codes[i], st.Coalesced, st.State, StateRunning)
+		}
+		if f := waitState(t, s, st.ID, StateDone); *f.Generations != 0 {
+			t.Fatalf("follower %d charged %d generations", i, *f.Generations)
+		}
+		if _, _, raw := getResultRaw(t, hs, st.ID); raw != leadRaw {
+			t.Fatalf("follower %d result bytes differ from the leader's", i)
+		}
+	}
+	if m := getMetrics(t, hs); m.Counters.Coalesced != followers {
+		t.Fatalf("coalesced counter = %d, want %d", m.Counters.Coalesced, followers)
+	}
+}
+
 // TestWarmResubmit: an identical submission after completion is
 // absorbed by the shared cache — zero generations, identical bytes.
 func TestWarmResubmit(t *testing.T) {

@@ -143,6 +143,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var ws shard.WireSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ws); err != nil {
 		wk.badSpecs.Add(1)
 		writeError(w, http.StatusBadRequest, "bad wire spec: "+err.Error())

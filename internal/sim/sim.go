@@ -75,11 +75,6 @@ type Thread struct {
 	// Scratch is scheduler-private per-thread state (SLICC keeps its
 	// missed-tag queue here).
 	Scratch interface{}
-
-	// seg tracks the thread's position in its trace's compiled segment
-	// table (engine-private; initialized by Run when segment replay is
-	// licensed, zero otherwise).
-	seg trace.SegCursor
 }
 
 // Latency returns queue-entry-to-completion cycles (Figure 7's metric).
@@ -306,7 +301,6 @@ type Engine struct {
 	pfHides   bool                // prefetcher hides miss latency (PIF)
 	fastHits  bool                // hit-run fast path licensed (hooks + prefetcher)
 	batchHits bool                // hit runs must be gated and reported (HookIHitBatch)
-	segOK     bool                // segment replay licensed (passive pf + collapse-safe L1-I)
 	runPF     prefetch.Prefetcher // prefetcher driven inside hit runs (nil when passive)
 
 	threads    []*Thread
@@ -366,7 +360,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // SetTimeline attaches (non-nil) or detaches (nil) a run-timeline
 // tracer. The engine records one span per scheduling quantum (with the
-// reason it ended) and one span per hit-run/seg-run absorption stretch.
+// reason it ended) and one span per hit-run absorption stretch.
 // Tracing is strictly observational: it never changes execution order,
 // clocks, or results. Callers that pool engines must detach before
 // returning one to the pool.
@@ -730,15 +724,6 @@ func (e *Engine) Run() Result {
 	if !e.pfPassive {
 		e.runPF = e.pf // drive prefetch fills inside hit runs, in order
 	}
-	// Segment replay is licensed by a passive prefetcher (per-entry
-	// fetch observation would be skipped) and a collapse-safe L1-I
-	// replacement policy (collapsed promotes must be exact).
-	e.segOK = e.pfPassive && e.cores[0].L1I.CollapseSafe()
-	if e.segOK && e.fastHits {
-		for _, t := range e.threads {
-			t.seg = trace.NewSegCursor(t.Txn.Trace.Segments())
-		}
-	}
 	// Solo fast path: with one core there is no cross-core clock order
 	// to preserve, so if the scheduler observes no per-entry events a
 	// whole quantum replays in a tight loop (see runSolo).
@@ -820,28 +805,11 @@ func (e *Engine) finish(c *Core, t *Thread) {
 func (e *Engine) step(c *Core) {
 	t := c.Cur
 	if e.fastHits && (!e.batchHits || e.sched.HitRunOK(c.ID)) {
-		var n uint64
-		var entries int
-		if e.segOK {
-			// Consume whole resident segments first — one precomputed
-			// delta each — then let HitRun finish the hit prefix
-			// per-entry (mid-segment resumes, partially resident
-			// segments). Together they take exactly the maximal run of
-			// instruction hits, reported as one batch.
-			n, entries = c.SegRun(&t.Cursor, &t.seg, c.phase, c.tagged)
-		}
-		hn, hentries := c.HitRun(&t.Cursor, c.phase, c.tagged, e.runPF)
-		if e.tl != nil {
-			if entries > 0 {
-				e.tl.Absorb(obs.KindSegRun, c.ID, t.Txn.ID, c.Clock, c.Clock+n, uint64(entries))
-			}
-			if hentries > 0 {
-				e.tl.Absorb(obs.KindHitRun, c.ID, t.Txn.ID, c.Clock+n, c.Clock+n+hn, uint64(hentries))
-			}
-		}
-		n += hn
-		entries += hentries
+		n, entries := c.HitRun(&t.Cursor, c.phase, c.tagged, e.runPF)
 		if entries > 0 {
+			if e.tl != nil {
+				e.tl.Absorb(c.ID, t.Txn.ID, c.Clock, c.Clock+n, uint64(entries))
+			}
 			c.Clock += n // 1 IPC
 			t.Instrs += n
 			c.QInstrs += n
@@ -1008,49 +976,21 @@ func (e *Engine) runSolo() {
 
 // replaySolo runs core c's current thread to completion. Per entry it
 // performs exactly the general step's slow-path work (same cache calls,
-// same latency charges, in trace order); fully resident compiled
-// segments are applied as one delta when segment replay is licensed.
+// same latency charges, in trace order).
 func (e *Engine) replaySolo(c *Core) {
 	t := c.Cur
 	l1i, l1d := c.L1I, c.L1D
 	rest := t.Cursor.Rest()
-	base := t.Cursor.Pos()
-	phase, tagged := c.phase, c.tagged
+	tagged := c.tagged
 	var pid uint8 // phase passed to the L1-I: zero unless tagging (Touch semantics)
 	if tagged {
-		pid = phase
+		pid = c.phase
 	}
 	mem, coreID, pfHides := e.mem, c.ID, e.pfHides
-	// segNext is the trace position of the next segment start — the
-	// per-entry segment probe is one integer compare, with the cursor
-	// advanced only at actual segment boundaries.
-	segNext := trace.NoSeg
-	if e.segOK && t.seg.Tab() != nil {
-		segNext = t.seg.NextStart(base)
-	}
 	clock := c.Clock
 	var instrs uint64
-	for i := 0; i < len(rest); {
-		en := rest[i]
+	for _, en := range rest {
 		if en.Kind == trace.KInstr {
-			if base+i == segNext {
-				seg := t.seg.Cur()
-				blocks := t.seg.Tab().Footprint(seg)
-				if l1i.ResidentRun(blocks) {
-					l1i.ApplyHitRun(blocks, int(seg.End-seg.Start), phase, tagged)
-					if e.tl != nil {
-						e.tl.Absorb(obs.KindSegRun, c.ID, t.Txn.ID, clock, clock+seg.Instrs, uint64(seg.End-seg.Start))
-					}
-					instrs += seg.Instrs
-					clock += seg.Instrs
-					i = int(seg.End) - base
-					segNext = t.seg.NextStart(base + i)
-					continue
-				}
-				// Not fully resident: replay this segment per entry and
-				// re-probe from the segment after it.
-				segNext = t.seg.NextStart(base + i + 1)
-			}
 			clock += uint64(en.N) // 1 IPC
 			instrs += uint64(en.N)
 			hit, pfHit := l1i.AccessBrief(en.Block, false, pid, tagged)
@@ -1066,7 +1006,6 @@ func (e *Engine) replaySolo(c *Core) {
 			if !e.pfPassive {
 				e.pf.OnIFetch(l1i, en.Block, hit)
 			}
-			i++
 		} else {
 			write := en.Kind == trace.KStore
 			clock++ // address generation / pipeline slot
@@ -1078,7 +1017,6 @@ func (e *Engine) replaySolo(c *Core) {
 			} else {
 				mem.ReadHit(coreID, en.Block)
 			}
-			i++
 		}
 	}
 	t.Cursor.Advance(len(rest))

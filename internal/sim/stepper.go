@@ -63,44 +63,6 @@ func (s Stepper) Exec(e trace.Entry, phaseID uint8, tagPhase bool) cache.AccessR
 // contents (HookRemoteCaches), in which case prefetch mutations must
 // stay in order and the engine passes pf=nil or disables the run. See
 // docs/ENGINE.md for the full argument.
-// SegRun consumes whole compiled segments while the thread's cursor
-// sits at a segment start and the segment's entire footprint is
-// resident in the L1-I: each such segment is applied as one precomputed
-// delta (batched hit statistics, one collapsed promote per distinct
-// block, phase tags) instead of an entry loop. It stops at the first
-// segment that is misaligned (cursor resumed mid-segment), not fully
-// resident (the per-entry path must sequence the miss), or would
-// consume the trace's final entry (completion stays heap-sequenced,
-// same rule as HitRun). The caller must have established
-// Cache.CollapseSafe and a passive prefetcher; under those
-// preconditions consumed = the same maximal hit prefix the per-entry
-// HitRun would take, with identical cache state after (docs/ENGINE.md).
-func (s Stepper) SegRun(cur *trace.Cursor, sc *trace.SegCursor, phaseID uint8, tagPhase bool) (instrs uint64, entries int) {
-	tab := sc.Tab()
-	if tab == nil {
-		return 0, 0
-	}
-	l1i := s.L1I
-	total := tab.Entries()
-	start := cur.Pos()
-	pos := start
-	for {
-		seg, ok := sc.AtStart(pos)
-		if !ok || int(seg.End) >= total {
-			break
-		}
-		blocks := tab.Footprint(seg)
-		if !l1i.ResidentRun(blocks) {
-			break
-		}
-		l1i.ApplyHitRun(blocks, int(seg.End-seg.Start), phaseID, tagPhase)
-		instrs += seg.Instrs
-		pos = int(seg.End)
-	}
-	cur.Advance(pos - start)
-	return instrs, pos - start
-}
-
 func (s Stepper) HitRun(cur *trace.Cursor, phaseID uint8, tagPhase bool, pf prefetch.Prefetcher) (instrs uint64, entries int) {
 	l1i := s.L1I
 	rest := cur.Rest()

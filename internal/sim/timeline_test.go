@@ -73,9 +73,9 @@ func TestTimelineRecordsYields(t *testing.T) {
 }
 
 func TestTimelineSoloRecordsAbsorption(t *testing.T) {
-	// The solo replay path with a hook-free scheduler takes the segment
-	// fast path; the timeline must show absorption spans inside the
-	// quanta when segments are licensed, and valid quanta regardless.
+	// The solo replay path with a hook-free scheduler absorbs each whole
+	// quantum in one pass, without per-entry stepping; the timeline must
+	// still show one valid quantum span per transaction.
 	tl := obs.NewTimeline(4096)
 	set := tinySet(4, 60)
 	e := New(DefaultConfig(1), set, &fifoSched{})

@@ -11,10 +11,7 @@
 // per-instruction PCs.
 package trace
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Kind discriminates trace entries.
 type Kind uint8
@@ -55,11 +52,6 @@ type Buffer struct {
 	Instrs  uint64 // total instructions across all KInstr entries
 	Loads   uint64
 	Stores  uint64
-
-	// seg caches the compiled segment table (see Segments). It is not
-	// part of the trace content: clones and deserialized buffers start
-	// empty and compile their own on first use.
-	seg atomic.Pointer[SegTable]
 }
 
 // AppendInstr appends a run of n instructions in block. Adjacent runs in
@@ -100,13 +92,29 @@ func (b *Buffer) AppendData(block uint32, write bool) {
 // Len returns the number of entries.
 func (b *Buffer) Len() int { return len(b.Entries) }
 
-// Reset empties the buffer, retaining capacity, and drops any cached
-// segment table.
+// Reset empties the buffer, retaining capacity.
 func (b *Buffer) Reset() {
 	b.Entries = b.Entries[:0]
 	b.Instrs, b.Loads, b.Stores = 0, 0, 0
-	b.seg.Store(nil)
 }
+
+// InstrRuns returns the number of maximal runs of consecutive
+// instruction entries — the stretches between data accesses.
+func (b *Buffer) InstrRuns() int {
+	n := 0
+	for i, e := range b.Entries {
+		if e.Kind == KInstr && (i == 0 || b.Entries[i-1].Kind != KInstr) {
+			n++
+		}
+	}
+	return n
+}
+
+// CompileStats always returns zeros: traces are replayed entry by entry
+// and nothing compiles them. It remains only because the benchmark
+// module in perfbench/ reads it for its trace.* per-layer metrics, which
+// report 0 for a layer that does no work.
+func CompileStats() (tables, entries, segs, nanos uint64) { return 0, 0, 0, 0 }
 
 // UniqueIBlocks returns the number of distinct instruction blocks in the
 // trace — the transaction's instruction footprint in blocks.

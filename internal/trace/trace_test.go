@@ -167,6 +167,34 @@ func TestUniqueBlocks(t *testing.T) {
 	}
 }
 
+// TestInstrRuns covers the break-point cases of the instruction-run
+// count the trace-file header carries: runs end only at data entries,
+// whatever the blocks and run lengths inside them.
+func TestInstrRuns(t *testing.T) {
+	I := func(block uint32, n uint16) Entry { return Entry{Block: block, N: n, Kind: KInstr} }
+	L := Entry{Block: 9, Kind: KLoad}
+	S := Entry{Block: 9, Kind: KStore}
+	for _, tc := range []struct {
+		name    string
+		entries []Entry
+		want    int
+	}{
+		{"empty", nil, 0},
+		{"data only", []Entry{L, S, L}, 0},
+		{"one instr", []Entry{I(1, 1)}, 1},
+		{"same block repeated", []Entry{I(1, 1), I(1, 2), I(1, 3)}, 1},
+		{"zero N", []Entry{I(1, 0), I(2, 0)}, 1},
+		{"leading and trailing data", []Entry{L, I(1, 1), I(2, 1), S}, 1},
+		{"adjacent data", []Entry{I(1, 1), L, S, I(1, 1)}, 2},
+		{"alternating", []Entry{I(1, 1), L, I(2, 1), S, I(3, 1), L}, 3},
+	} {
+		b := Buffer{Entries: tc.entries}
+		if got := b.InstrRuns(); got != tc.want {
+			t.Errorf("%s: InstrRuns = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	var b Buffer
 	b.AppendInstr(1, 5)

@@ -13,8 +13,8 @@
 //	          version uint16
 //	          hdrLen  uint32
 //	          header  hdrLen bytes of JSON (Meta): workload name, seed,
-//	                  scale, type names, per-file entry/instr/segment
-//	                  counts, code layout functions
+//	                  scale, type names, per-file entry/instr/load/
+//	                  store/instruction-run counts, code layout functions
 //	          payload one record per transaction, in set order:
 //	                    uvarint id
 //	                    uvarint type
@@ -57,9 +57,8 @@ import (
 // folds it into every cache key, so old artifacts are simply never
 // consulted again.
 //
-// v2 added the segment-table summary (Meta.Segments) to the header, a
-// cross-check against the compiled tables the engine replays. v1 files
-// predate segment metadata and must be regenerated.
+// v2 added the instruction-run total (Meta.InstrRuns, JSON key
+// "segments") to the header. v1 files lack it and must be regenerated.
 const Version = 2
 
 // Ext is the conventional file extension.
@@ -119,11 +118,10 @@ type Meta struct {
 	Instrs        uint64     `json:"instrs"`
 	Loads         uint64     `json:"loads"`
 	Stores        uint64     `json:"stores"`
-	// Segments counts compiled trace segments across all transactions
-	// (format v2+). Like the other totals it is verified against what
-	// the payload actually compiles to, so replayers can trust it
-	// without a separate compile pass.
-	Segments   uint64     `json:"segments"`
+	// InstrRuns counts maximal runs of consecutive instruction entries
+	// across all transactions (format v2+; see trace.Buffer.InstrRuns).
+	// Like the other totals it is verified against the decoded payload.
+	InstrRuns  uint64     `json:"segments"`
 	DataBlocks int        `json:"data_blocks"`
 	Funcs      []FuncSpec `json:"funcs,omitempty"`
 }
@@ -143,7 +141,7 @@ func metaOf(set *workload.Set, prov Provenance) Meta {
 		m.Instrs += tx.Trace.Instrs
 		m.Loads += tx.Trace.Loads
 		m.Stores += tx.Trace.Stores
-		m.Segments += uint64(tx.Trace.Segments().Len())
+		m.InstrRuns += uint64(tx.Trace.InstrRuns())
 	}
 	if set.Layout != nil {
 		for _, f := range set.Layout.Funcs() {
@@ -331,7 +329,7 @@ type Reader struct {
 	r     *crcByteReader
 	meta  Meta
 	n     int // transactions decoded so far
-	sums  struct{ entries, instrs, loads, stores, segments uint64 }
+	sums  struct{ entries, instrs, loads, stores, instrRuns uint64 }
 	close io.Closer
 }
 
@@ -478,10 +476,7 @@ func (r *Reader) Next() (*workload.Txn, error) {
 	r.sums.instrs += buf.Instrs
 	r.sums.loads += buf.Loads
 	r.sums.stores += buf.Stores
-	// Compiling here both checks the header's segment total and warms
-	// the buffer's lazy table cache, so the engine never recompiles a
-	// loaded trace.
-	r.sums.segments += uint64(buf.Segments().Len())
+	r.sums.instrRuns += uint64(buf.InstrRuns())
 	r.n++
 	return &workload.Txn{ID: int(id), Type: int(typ), Header: uint32(header), Trace: buf}, nil
 }
@@ -512,10 +507,10 @@ func (r *Reader) Verify() error {
 	}
 	if r.sums.entries != r.meta.Entries || r.sums.instrs != r.meta.Instrs ||
 		r.sums.loads != r.meta.Loads || r.sums.stores != r.meta.Stores ||
-		r.sums.segments != r.meta.Segments {
-		return fmt.Errorf("%w: header totals (entries=%d instrs=%d loads=%d stores=%d segments=%d) != decoded (%d/%d/%d/%d/%d)",
-			ErrCorrupt, r.meta.Entries, r.meta.Instrs, r.meta.Loads, r.meta.Stores, r.meta.Segments,
-			r.sums.entries, r.sums.instrs, r.sums.loads, r.sums.stores, r.sums.segments)
+		r.sums.instrRuns != r.meta.InstrRuns {
+		return fmt.Errorf("%w: header totals (entries=%d instrs=%d loads=%d stores=%d instr runs=%d) != decoded (%d/%d/%d/%d/%d)",
+			ErrCorrupt, r.meta.Entries, r.meta.Instrs, r.meta.Loads, r.meta.Stores, r.meta.InstrRuns,
+			r.sums.entries, r.sums.instrs, r.sums.loads, r.sums.stores, r.sums.instrRuns)
 	}
 	return nil
 }

@@ -24,16 +24,6 @@ func benchSet(t testing.TB, name string, txns int) *workload.Set {
 	return set
 }
 
-// stripSegs drops the lazy compiled-segment caches so two sets can be
-// compared structurally: the cache is derived state, and the codec
-// (deliberately) warms it on both encode and decode.
-func stripSegs(set *workload.Set) *workload.Set {
-	for _, tx := range set.Txns {
-		tx.Trace.DropSegments()
-	}
-	return set
-}
-
 func encode(t testing.TB, set *workload.Set) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -56,7 +46,7 @@ func TestRoundTripEveryWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !reflect.DeepEqual(stripSegs(set), stripSegs(got)) {
+			if !reflect.DeepEqual(set, got) {
 				t.Fatalf("round trip altered the set\nbefore: %d txns, %d instrs\nafter:  %d txns, %d instrs",
 					len(set.Txns), set.Instrs(), len(got.Txns), got.Instrs())
 			}
@@ -80,7 +70,7 @@ func TestSaveLoadAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if !reflect.DeepEqual(stripSegs(set), stripSegs(got)) {
+	if !reflect.DeepEqual(set, got) {
 		t.Fatal("save/load altered the set")
 	}
 	if meta.Provenance.Scale != 100 || meta.Provenance.Seed != 7 {
@@ -104,8 +94,6 @@ func TestSaveLoadAndOpen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("next: %v", err)
 		}
-		tx.Trace.DropSegments()
-		set.Txns[n].Trace.DropSegments()
 		if !reflect.DeepEqual(tx, set.Txns[n]) {
 			t.Fatalf("txn %d differs when streamed", n)
 		}
@@ -167,6 +155,33 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "predates segment metadata") {
 			t.Fatalf("v1 error does not explain itself: %v", err)
+		}
+	})
+
+	// A header whose instruction-run total is off by one, written with
+	// a valid CRC, must fail the decoded-totals check.
+	t.Run("instr-runs-off-by-one", func(t *testing.T) {
+		set := benchSet(t, "Voter", 6)
+		meta := metaOf(set, Provenance{Workload: set.Name, Seed: 7, TypeID: -1})
+		for _, runs := range []uint64{meta.InstrRuns - 1, meta.InstrRuns + 1} {
+			bad := meta
+			bad.InstrRuns = runs
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tx := range set.Txns {
+				if err := w.WriteTxn(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("instr runs %d (true %d): got %v, want ErrCorrupt", runs, meta.InstrRuns, err)
+			}
 		}
 	})
 

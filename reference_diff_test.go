@@ -1,13 +1,13 @@
 package strex
 
-// Differential property test for segment-compiled replay: every
+// Differential property test for the engine's fast paths: every
 // registered workload is executed twice at the same seed — once through
-// the production engine (Run: segment tables, hit runs, the solo loop)
-// and once through the retained per-entry oracle (RunReference) — and
-// the two must agree on Stats and on every per-thread cycle stamp. The
-// sweep covers both engine shapes the segment machinery specializes:
-// one core (the solo replay loop, where whole quanta replay in a tight
-// pass) and two cores (the heap-driven step loop, where SegRun batches
+// the production engine (Run: the solo loop, hit runs, the heap-driven
+// step loop) and once through the retained per-entry oracle
+// (RunReference) — and the two must agree on Stats and on every
+// per-thread cycle stamp. The sweep covers both engine shapes: one core
+// (the solo replay loop, where whole quanta replay in a tight pass) and
+// two cores (the heap-driven step loop, where hit runs batch
 // scheduler-inert stretches), under an untagged scheduler (Baseline)
 // and a phase-tagging one (STREX).
 
@@ -43,7 +43,7 @@ func diffRun(t *testing.T, label string, cfg sim.Config, set *workload.Set, mk f
 	}
 }
 
-func TestSegmentReplayMatchesReference(t *testing.T) {
+func TestRunMatchesReferenceOnEveryWorkload(t *testing.T) {
 	scheds := []struct {
 		name string
 		mk   func() sim.Scheduler

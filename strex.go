@@ -446,9 +446,9 @@ func Run(cfg Config, w *Workload, kind SchedulerKind) (Result, error) {
 }
 
 // RunTraced is Run with a run-timeline tracer attached: the engine
-// records one span per scheduling quantum and per hit-run/seg-run
-// absorption stretch into a tracer holding up to events entries (<= 0
-// selects the default capacity). The tracer is returned alongside the
+// records one span per scheduling quantum and per hit-run absorption
+// stretch into a tracer holding up to events entries (<= 0 selects the
+// default capacity). The tracer is returned alongside the
 // result; export it with Timeline.WriteChrome (Chrome trace-event JSON,
 // loadable in Perfetto — see docs/OBSERVABILITY.md). Tracing is purely
 // observational: the Result is identical to Run's.
