@@ -28,7 +28,7 @@ import (
 )
 
 // wlSet unwraps the façade for benches that drive internal/sim directly.
-func wlSet(w *Workload) *workload.Set { return w.set }
+func wlSet(w *Workload) *workload.Set { return w.content() }
 
 func benchSuite() *experiments.Suite {
 	return experiments.NewSuite(experiments.Options{Txns: 40, Seed: 42, Cores: []int{2, 4}})

@@ -287,8 +287,11 @@ func Build(name string, opts Options) (workload.Generator, error) {
 	return counted{e.build(opts)}, nil
 }
 
-// BuildSet builds a generator and generates a validated set of txns
-// transactions — the one-call path the facade and CLIs use.
+// BuildSet builds a generator and generates a validated set of exactly
+// txns transactions — the one-call path the facade and CLIs use. The
+// count is a checked contract: run-cache keys hash the requested count
+// before any set exists, so a generator that yields a different one is
+// an error, never a silently mis-keyed set.
 func BuildSet(name string, txns int, opts Options) (*workload.Set, error) {
 	if txns <= 0 {
 		return nil, fmt.Errorf("bench: %s needs a positive transaction count, got %d", name, txns)
@@ -300,6 +303,9 @@ func BuildSet(name string, txns int, opts Options) (*workload.Set, error) {
 	set := g.Generate(txns)
 	if err := set.Validate(); err != nil {
 		return nil, err
+	}
+	if len(set.Txns) != txns {
+		return nil, fmt.Errorf("bench: %s generated %d transactions, want %d", name, len(set.Txns), txns)
 	}
 	return set, nil
 }

@@ -59,6 +59,43 @@ func TestBuildRejectsUnknownAndEmpty(t *testing.T) {
 	}
 }
 
+// TestBuildSetYieldsRequestedCount pins the count contract run-cache
+// keys rely on: they hash the requested count before any set exists,
+// so every registered generator must yield exactly that many
+// transactions.
+func TestBuildSetYieldsRequestedCount(t *testing.T) {
+	for _, name := range Names() {
+		for _, n := range []int{1, 2, 3, 7, 12, 50, 160} {
+			set, err := BuildSet(name, n, Options{Seed: 3})
+			if err != nil {
+				t.Fatalf("%s at %d txns: %v", name, n, err)
+			}
+			if len(set.Txns) != n {
+				t.Fatalf("%s at %d txns: got %d", name, n, len(set.Txns))
+			}
+		}
+	}
+}
+
+// shortGen is a generator that breaks the count contract: it yields one
+// transaction fewer than asked.
+type shortGen struct{ workload.Generator }
+
+func (g shortGen) Generate(n int) *workload.Set { return g.Generator.Generate(n - 1) }
+
+func TestBuildSetRejectsWrongCount(t *testing.T) {
+	saved := registry
+	defer func() { registry = saved }()
+	tatp, _ := lookup("TATP")
+	registry = append(append([]entry(nil), saved...), entry{
+		info:  Info{Name: "Short"},
+		build: func(o Options) workload.Generator { return shortGen{tatp.build(o)} },
+	})
+	if _, err := BuildSet("Short", 5, Options{}); err == nil {
+		t.Fatal("BuildSet accepted a set of 4 transactions for a request of 5")
+	}
+}
+
 // setDigest hashes everything replay depends on: the type sequence and
 // every trace entry of every transaction.
 func setDigest(s *workload.Set) uint64 {

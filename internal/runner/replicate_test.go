@@ -1,12 +1,15 @@
 package runner
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"strex/internal/runcache"
 	"strex/internal/sched"
 	"strex/internal/sim"
 	"strex/internal/tpcc"
@@ -174,5 +177,80 @@ func TestReplicateKeyFor(t *testing.T) {
 	rs2.CacheKey = "rep0-key"
 	if res := New(1).SubmitReplicates(rs2, 2).Results(); len(res) != 2 {
 		t.Fatal("keyless replicate batch failed")
+	}
+}
+
+// TestReplicateLoadSetFor pins the lazy-set contract: a replicate whose
+// record is in the disk cache never loads its set, one that misses
+// loads it exactly once and replays it exactly as an eager replicate
+// would, and a loader error fails only its own replicate.
+func TestReplicateLoadSetFor(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := New(2)
+	x.SetCache(cache)
+	sets := make([]*workload.Set, 3)
+	for rep := range sets {
+		sets[rep] = tpcc.New(tpcc.Config{Warehouses: 1, Seed: ReplicateSeed(7, rep)}).Generate(10)
+	}
+	var loads [3]atomic.Int64
+	lazy := func(keyed bool) ReplicateSpec {
+		rs := replicateSpec(t, 42)
+		rs.Set = nil
+		rs.SchedID = "strex" // ignored: lazy specs never dedup
+		rs.LoadSetFor = func(rep int) func() (*workload.Set, error) {
+			return func() (*workload.Set, error) {
+				loads[rep].Add(1)
+				return sets[rep], nil
+			}
+		}
+		if keyed {
+			rs.KeyFor = func(rep int, cfg sim.Config) string {
+				return runcache.RunKey{Config: cfg, Sched: "strex", SetID: fmt.Sprint("lazy-", rep)}.Hash()
+			}
+		}
+		return rs
+	}
+	eager := replicateSpec(t, 42)
+	eager.SetFor = func(rep int) *workload.Set { return sets[rep] }
+	want := statsOf(New(1).SubmitReplicates(eager, 3).Results())
+
+	cold := statsOf(x.SubmitReplicates(lazy(true), 3).Results())
+	if !reflect.DeepEqual(cold, want) {
+		t.Fatalf("lazy replicates diverged from eager ones:\n%+v\nvs\n%+v", cold, want)
+	}
+	for rep := range loads {
+		if n := loads[rep].Load(); n != 1 {
+			t.Fatalf("cold replicate %d loaded its set %d times, want 1", rep, n)
+		}
+	}
+	warm := statsOf(x.SubmitReplicates(lazy(true), 3).Results())
+	if !reflect.DeepEqual(warm, want) {
+		t.Fatal("cache-served lazy replicates diverged")
+	}
+	for rep := range loads {
+		if n := loads[rep].Load(); n != 1 {
+			t.Fatalf("warm replicate %d loaded its set (%d loads), want no load on a cache hit", rep, n)
+		}
+	}
+
+	// A failing loader fails its replicate's future, never the executor.
+	rs := lazy(false)
+	rs.LoadSetFor = func(rep int) func() (*workload.Set, error) {
+		if rep == 1 {
+			return func() (*workload.Set, error) { return nil, errors.New("no such set") }
+		}
+		return func() (*workload.Set, error) { return sets[rep], nil }
+	}
+	b := x.SubmitReplicates(rs, 3)
+	if _, err := b.WaitRep(1); err == nil || err.Error() != "no such set" {
+		t.Fatalf("replicate with a failing loader: err = %v, want the loader's error", err)
+	}
+	for _, rep := range []int{0, 2} {
+		if _, err := b.WaitRep(rep); err != nil {
+			t.Fatalf("replicate %d failed with its neighbour's loader: %v", rep, err)
+		}
 	}
 }

@@ -62,7 +62,16 @@ type Spec struct {
 	// treats it as read-only (workload.Set ownership rule), so many
 	// concurrent runs may replay the same set. Callers that want to
 	// mutate a set while runs are in flight must Submit a set.Clone().
+	// Nil when LoadSet supplies the set instead.
 	Set *workload.Set
+	// LoadSet, when Set is nil, supplies the set only if the run must
+	// execute locally: the executor calls it on the run's goroutine after
+	// the CacheKey probe and any remote attempt, so a run served from the
+	// disk cache never loads its set. An error fails the run's future.
+	// It may be called concurrently by runs sharing one set, and must
+	// return the same set each time. Such lazy specs are exempt from
+	// in-process dedup, whose key is the set pointer.
+	LoadSet func() (*workload.Set, error)
 	// Sched constructs the run's scheduler. A fresh scheduler per run is
 	// mandatory — scheduler state (teams, phase IDs, SLICC queues) is
 	// per-run and must not leak across runs.
@@ -346,7 +355,7 @@ func (x *Executor) Completed() int { return int(x.completed.Load()) }
 // soon as a worker slot is free; Submit itself never blocks on the
 // simulation (only, briefly, on slot bookkeeping).
 func (x *Executor) Submit(spec Spec) *Future {
-	if spec.Set == nil {
+	if spec.Set == nil && spec.LoadSet == nil {
 		panic("runner: Submit with nil workload set")
 	}
 	if spec.Sched == nil {
@@ -360,7 +369,7 @@ func (x *Executor) Submit(spec Spec) *Future {
 	// the first. The derived run still stores under its own disk cache
 	// key so a warm rerun finds every label it expects. Traced specs are
 	// exempt: their whole point is the execution itself.
-	if spec.SchedID != "" && spec.Trace == nil && spec.Arrivals == nil {
+	if spec.SchedID != "" && spec.Set != nil && spec.Trace == nil && spec.Arrivals == nil {
 		key := dedupKey(&spec)
 		x.inprocMu.Lock()
 		if ent, ok := x.inproc[key]; ok && ent.set == spec.Set {
@@ -464,6 +473,11 @@ func (x *Executor) Submit(spec Spec) *Future {
 				acquire() // fleet gone: degrade to local execution
 			default:
 				f.err = err
+				return
+			}
+		}
+		if spec.Set == nil {
+			if spec.Set, f.err = spec.LoadSet(); f.err != nil {
 				return
 			}
 		}
@@ -579,6 +593,11 @@ type ReplicateSpec struct {
 	// replicate order, before the replicate is submitted; a nil return
 	// keeps Spec.Set.
 	SetFor func(rep int) *workload.Set
+	// LoadSetFor, when non-nil, supplies replicate rep's lazy set loader
+	// (see Spec.LoadSet) in place of a set, so a replicate served from
+	// the disk cache never loads its draw. It is called like SetFor; a
+	// nil return keeps the replicate's set.
+	LoadSetFor func(rep int) func() (*workload.Set, error)
 	// SchedFor, when non-nil, supplies replicate rep's scheduler
 	// factory. Profiling schedulers (the hybrid) close over the set
 	// they profile, which must be the set the replicate replays; fixed
@@ -659,6 +678,11 @@ func (x *Executor) SubmitReplicates(rs ReplicateSpec, n int) *Batch {
 		if rs.SetFor != nil {
 			if set := rs.SetFor(rep); set != nil {
 				spec.Set = set
+			}
+		}
+		if rs.LoadSetFor != nil {
+			if load := rs.LoadSetFor(rep); load != nil {
+				spec.Set, spec.LoadSet = nil, load
 			}
 		}
 		if rs.SchedFor != nil {

@@ -7,12 +7,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"strex/internal/bench"
+	"strex/internal/obs"
 )
 
 // newTestServer builds a daemon with a per-test warm cache and serves
@@ -307,11 +313,21 @@ func TestCoalesceOntoRunningFlight(t *testing.T) {
 }
 
 // TestWarmResubmit: an identical submission after completion is
-// absorbed by the shared cache — zero generations, identical bytes.
+// absorbed by the shared cache — zero generations, identical bytes —
+// for every scheduler kind.
 func TestWarmResubmit(t *testing.T) {
+	for _, sched := range []string{"strex", "base", "slicc", "hybrid"} {
+		t.Run(sched, func(t *testing.T) {
+			spec := tinySpec(42)
+			spec.Seeds = 2
+			spec.Sched = sched
+			testWarmResubmit(t, spec)
+		})
+	}
+}
+
+func testWarmResubmit(t *testing.T, spec JobSpec) {
 	s, hs := newTestServer(t, Config{Parallel: 2})
-	spec := tinySpec(42)
-	spec.Seeds = 2
 	st1, _ := postJob(t, hs, spec)
 	waitState(t, s, st1.ID, StateDone)
 	_, _, raw1 := getResultRaw(t, hs, st1.ID)
@@ -335,16 +351,17 @@ func TestWarmResubmit(t *testing.T) {
 	}
 
 	// The disk tier must absorb too: a fresh daemon (cold memo) sharing
-	// the cache directory serves the same spec with zero generations.
-	s2, err := New(Config{Parallel: 2, CacheDir: s.cfg.CacheDir})
-	if err != nil {
+	// the cache directory serves the same spec with zero generations and
+	// the cold bytes. It answers from the result records alone: with the
+	// traces deleted, a fixed-kind job neither regenerates a set nor
+	// writes a trace back. The hybrid profiles its sets to name itself,
+	// so it regenerates them, but it still runs no engine.
+	traces := filepath.Join(s.cfg.CacheDir, "traces")
+	if err := os.RemoveAll(traces); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s2.Shutdown(ctx)
-	}()
+	s2, hs2 := newTestServer(t, Config{Parallel: 2, CacheDir: s.cfg.CacheDir})
+	g0 := bench.Generations()
 	st3, err := s2.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +369,77 @@ func TestWarmResubmit(t *testing.T) {
 	fin3 := waitState(t, s2, st3.ID, StateDone)
 	if fin3.Generations == nil || *fin3.Generations != 0 {
 		t.Fatalf("restart resubmit generations = %v, want 0 (disk tier)", fin3.Generations)
+	}
+	if _, _, raw3 := getResultRaw(t, hs2, st3.ID); raw3 != raw1 {
+		t.Fatalf("restart result differs from cold:\n%s\nvs\n%s", raw3, raw1)
+	}
+	if spec.Sched == "hybrid" {
+		return
+	}
+	if g := bench.Generations() - g0; g != 0 {
+		t.Fatalf("restart resubmit generated %d sets, want 0", g)
+	}
+	var written []string
+	if err := filepath.WalkDir(traces, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			written = append(written, path)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 0 {
+		t.Fatalf("restart resubmit wrote traces back: %v", written)
+	}
+}
+
+// TestTraceTrafficCounted: the daemon's cache counters see the trace
+// loads its jobs make. A cold job on an empty cache misses once per
+// draw; a restarted daemon whose result records for that job were
+// deleted loads each draw from the trace cache, one hit per draw. Both
+// show in /v1/metrics and in the Prometheus exposition.
+func TestTraceTrafficCounted(t *testing.T) {
+	s, hs := newTestServer(t, Config{Parallel: 1})
+	spec := tinySpec(17)
+	spec.Seeds = 2
+	st, _ := postJob(t, hs, spec)
+	waitState(t, s, st.ID, StateDone)
+	checkTraceTraffic(t, hs, 0, 2)
+
+	if err := os.RemoveAll(filepath.Join(s.cfg.CacheDir, "results")); err != nil {
+		t.Fatal(err)
+	}
+	s2, hs2 := newTestServer(t, Config{Parallel: 1, CacheDir: s.cfg.CacheDir})
+	st2, _ := postJob(t, hs2, spec)
+	waitState(t, s2, st2.ID, StateDone)
+	checkTraceTraffic(t, hs2, 2, 0)
+}
+
+// checkTraceTraffic asserts the daemon's trace hit and miss counters in
+// both /v1/metrics and the Prometheus exposition.
+func checkTraceTraffic(t *testing.T, hs *httptest.Server, hits, misses int64) {
+	t.Helper()
+	m := getMetrics(t, hs)
+	if m.Cache.TraceHits != hits || m.Cache.TraceMisses != misses {
+		t.Fatalf("/v1/metrics trace hits/misses = %d/%d, want %d/%d",
+			m.Cache.TraceHits, m.Cache.TraceMisses, hits, misses)
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"strexd_cache_trace_hits_total":   hits,
+		"strexd_cache_trace_misses_total": misses,
+	} {
+		if v, err := fams[name].Value(); err != nil || v != float64(want) {
+			t.Fatalf("%s = %v (err %v), want %d", name, v, err, want)
+		}
 	}
 }
 

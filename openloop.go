@@ -136,8 +136,9 @@ func LatencyQuantile(latencies []uint64, q float64) float64 {
 
 // buildMix materializes every tenant's workload and merges them into
 // one open-loop scenario (see arrival.MergeTenants: multi-tenant sets
-// get disjoint address spaces, so strata stay tenant-pure).
-func buildMix(tenants []TenantSpec) (*arrival.Mix, []*Workload, error) {
+// get disjoint address spaces, so strata stay tenant-pure). Sets on
+// cache's directory load through it, so its counters see the traffic.
+func buildMix(tenants []TenantSpec, cache *runcache.Cache) (*arrival.Mix, []*Workload, error) {
 	if len(tenants) == 0 {
 		return nil, nil, fmt.Errorf("strex: RunOpenLoop needs at least one tenant")
 	}
@@ -148,15 +149,19 @@ func buildMix(tenants []TenantSpec) (*arrival.Mix, []*Workload, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("strex: tenant %d: %w", i, err)
 		}
+		set, err := w.load(cache)
+		if err != nil {
+			return nil, nil, fmt.Errorf("strex: tenant %d: %w", i, err)
+		}
 		spec, err := t.Arrival.spec(i, t.Options.Seed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("strex: tenant %d: %w", i, err)
 		}
 		name := t.Name
 		if name == "" {
-			name = w.Name()
+			name = set.Name
 		}
-		ats[i] = arrival.Tenant{Name: name, Set: w.set, Spec: spec}
+		ats[i] = arrival.Tenant{Name: name, Set: set, Spec: spec}
 		ws[i] = w
 	}
 	mix, err := arrival.MergeTenants(ats)
@@ -180,15 +185,7 @@ func openLoopKey(cache *runcache.Cache, cfg sim.Config, schedID string, tenants 
 		if w.prov.Workload == "" {
 			return ""
 		}
-		setKey := runcache.SetKey{
-			Workload: w.prov.Workload,
-			Seed:     w.prov.Seed,
-			Scale:    w.prov.Scale,
-			Txns:     len(w.set.Txns),
-			TypeID:   w.prov.TypeID,
-			Extra:    w.prov.Extra,
-		}
-		setIDs[i] = setKey.Hash()
+		setIDs[i] = w.setKey().Hash()
 		spec, err := tenants[i].Arrival.spec(i, tenants[i].Options.Seed)
 		if err != nil {
 			return ""
@@ -287,7 +284,7 @@ func poolOpenLoop(ctx context.Context, p *Pool, cfg Config, tenants []TenantSpec
 func (r *OpenLoopResult) setExecuted(x bool) { r.executed = x }
 
 func runOpenLoop(ctx context.Context, x *runner.Executor, cache *runcache.Cache, cfg Config, tenants []TenantSpec, kind SchedulerKind) (*OpenLoopResult, error) {
-	mix, ws, err := buildMix(tenants)
+	mix, ws, err := buildMix(tenants, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +292,7 @@ func runOpenLoop(ctx context.Context, x *runner.Executor, cache *runcache.Cache,
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{set: mix.Set}
-	s, err := cfg.scheduler(kind, w, simCfg.Cores)
+	s, err := cfg.scheduler(kind, mix.Set, simCfg.Cores)
 	if err != nil {
 		return nil, err
 	}

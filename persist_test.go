@@ -53,31 +53,39 @@ func TestLoadWorkloadRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestBuildWorkloadCache: with CacheDir set, the second build is served
-// from disk (zero generations) and is identical to the first; aliases
-// share the same artifact.
+// TestBuildWorkloadCache: with CacheDir set, the set is loaded on first
+// use rather than at build time; once one build has stored it, a second
+// build is served from disk (zero generations, even when it simulates)
+// and is identical to the first; aliases share the same artifact.
 func TestBuildWorkloadCache(t *testing.T) {
 	dir := t.TempDir()
 	opts := strex.WorkloadOptions{Txns: 10, Seed: 5, CacheDir: dir}
+	before := bench.Generations()
 	w1, err := strex.BuildWorkload("TATP", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := bench.Generations()
-	w2, err := strex.BuildWorkload("tatp", opts) // alias spelling
+	if gens := bench.Generations() - before; gens != 0 {
+		t.Fatalf("cached build performed %d generations before first use", gens)
+	}
+	res1, err := strex.Run(strex.DefaultConfig(2), w1, strex.SchedSTREX)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gens := bench.Generations() - before; gens != 0 {
-		t.Fatalf("cached build performed %d generations", gens)
+	if gens := bench.Generations() - before; gens != 1 {
+		t.Fatalf("first use of a cold cached build performed %d generations, want 1", gens)
 	}
-	res1, err := strex.Run(strex.DefaultConfig(2), w1, strex.SchedSTREX)
+	before = bench.Generations()
+	w2, err := strex.BuildWorkload("tatp", opts) // alias spelling
 	if err != nil {
 		t.Fatal(err)
 	}
 	res2, err := strex.Run(strex.DefaultConfig(2), w2, strex.SchedSTREX)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gens := bench.Generations() - before; gens != 0 {
+		t.Fatalf("cached build performed %d generations", gens)
 	}
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatal("cached workload simulates differently")

@@ -80,22 +80,14 @@ func schedulerID(cfg Config, kind SchedulerKind) string {
 }
 
 // runKey computes the content address of one replicate run: the full
-// simulator config, the scheduler identity, and the workload's own
-// SetKey hash reconstructed from its provenance. "" = uncached (no
+// simulator config, the scheduler identity, and the workload's SetKey
+// hash rebuilt from its identity — no set needed. "" = uncached (no
 // cache attached).
 func (p *Pool) runKey(cfg sim.Config, schedID string, w *Workload) string {
 	if !p.cache.Enabled() || w.prov.Workload == "" {
 		return ""
 	}
-	setKey := runcache.SetKey{
-		Workload: w.prov.Workload,
-		Seed:     w.prov.Seed,
-		Scale:    w.prov.Scale,
-		Txns:     len(w.set.Txns),
-		TypeID:   w.prov.TypeID,
-		Extra:    w.prov.Extra,
-	}
-	return runcache.RunKey{Config: cfg, Sched: schedID, SetID: setKey.Hash()}.Hash()
+	return runcache.RunKey{Config: cfg, Sched: schedID, SetID: w.setKey().Hash()}.Hash()
 }
 
 // RunDrawsCtx runs one (config, scheduler) cell over pre-built
@@ -113,6 +105,14 @@ func (p *Pool) runKey(cfg sim.Config, schedID string, w *Workload) string {
 //     cell was fully absorbed by the cache.
 //   - a panicking replicate surfaces as an error, never a panic — one
 //     bad run must fail one job, not the daemon.
+//
+// The cache is checked first: a replicate whose record hits never loads
+// its draw's set, so a cell over lazily built draws (BuildWorkload with
+// a cache directory) that hits in full reads only its records. Draws on
+// the pool's cache directory load through the pool's handle, so its
+// CacheStats count their trace traffic. The hybrid is the exception: it
+// profiles each draw's set to pick its inner scheduler, so its draws
+// are loaded before any replicate is submitted.
 //
 // onProgress, if non-nil, observes monotone completion (done, total) as
 // replicates are collected in order.
@@ -139,44 +139,71 @@ func (p *Pool) runDrawsCtx(ctx context.Context, cfg Config, draws []*Workload, k
 	if err != nil {
 		return nil, 0, err
 	}
-	// Schedulers are built eagerly on this goroutine, like RunMany: it
-	// surfaces config errors before any run starts and keeps the
-	// hybrid's profiling pass off the worker pool.
-	scheds := make([]sim.Scheduler, n)
-	for rep, w := range draws {
-		s, err := cfg.scheduler(kind, w, simCfg.Cores)
+	rs := runner.ReplicateSpec{Spec: runner.Spec{Config: simCfg, Ctx: ctx}}
+	labels := make([]string, n)
+	if kind == SchedHybrid {
+		// The hybrid profiles each draw's set to pick its inner scheduler,
+		// and so its label: load every draw now, on this goroutine, which
+		// keeps profiling off the worker pool.
+		scheds := make([]sim.Scheduler, n)
+		for rep, w := range draws {
+			set, err := w.load(p.cache)
+			if err != nil {
+				return nil, 0, err
+			}
+			if scheds[rep], err = cfg.scheduler(kind, set, simCfg.Cores); err != nil {
+				return nil, 0, err
+			}
+			labels[rep] = scheds[rep].Name()
+		}
+		rs.SchedFor = func(rep int) func() sim.Scheduler {
+			s := scheds[rep]
+			return func() sim.Scheduler { return s }
+		}
+	} else {
+		// A fixed kind's scheduler and label need no set; building one
+		// here surfaces config errors before any run starts.
+		s, err := cfg.scheduler(kind, nil, simCfg.Cores)
 		if err != nil {
 			return nil, 0, err
 		}
-		scheds[rep] = s
+		for rep := range labels {
+			labels[rep] = s.Name()
+		}
+		rs.Sched = func() sim.Scheduler {
+			s, _ := cfg.scheduler(kind, nil, simCfg.Cores)
+			return s
+		}
+	}
+	rs.Label = labels[0]
+	rs.LoadSetFor = func(rep int) func() (*workload.Set, error) {
+		w := draws[rep]
+		return func() (*workload.Set, error) { return w.load(p.cache) }
 	}
 	schedID := schedulerID(cfg, kind)
-	rs := runner.ReplicateSpec{Spec: runner.Spec{
-		Label:  scheds[0].Name(),
-		Config: simCfg,
-		Set:    draws[0].set,
-		Sched:  func() sim.Scheduler { return scheds[0] },
-		Ctx:    ctx,
-	}}
-	rs.SetFor = func(rep int) *workload.Set { return draws[rep].set }
-	rs.SchedFor = func(rep int) func() sim.Scheduler {
-		s := scheds[rep]
-		return func() sim.Scheduler { return s }
+	rs.KeyFor = func(rep int, c sim.Config) string {
+		if tl != nil && rep == 0 {
+			return "" // traced: must execute, not replay from cache
+		}
+		return p.runKey(c, schedID, draws[rep])
 	}
-	rs.KeyFor = func(rep int, c sim.Config) string { return p.runKey(c, schedID, draws[rep]) }
 	if tl != nil {
 		tl.SetMeta(draws[0].prov.Workload, schedID, simCfg.Cores)
 		rs.Trace = tl // replicate 0 only (SubmitReplicates clears the rest)
-		keyFor := rs.KeyFor
-		rs.KeyFor = func(rep int, c sim.Config) string {
-			if rep == 0 {
-				return "" // must execute, not replay from cache
-			}
-			return keyFor(rep, c)
-		}
 	}
-	batch := p.x.SubmitReplicates(rs, n)
+	return collectDraws(p.x.SubmitReplicates(rs, n), draws, labels, simCfg.Cores, onProgress)
+}
 
+// collectDraws waits for one cell's batch and aggregates it into a
+// ReplicatedResult, labelling replicate rep's result labels[rep]. It
+// drains the whole batch even after a failure — no replicate is left
+// running — and returns the first error, so a cancelled cell surfaces
+// ctx.Err instead of panicking. The generation count is the number of
+// replicates that actually simulated. onProgress, if non-nil, observes
+// monotone completion (done, total) as replicates are collected in
+// order.
+func collectDraws(b *runner.Batch, draws []*Workload, labels []string, cores int, onProgress func(done, total int)) (*ReplicatedResult, int, error) {
+	n := len(draws)
 	rr := &ReplicatedResult{
 		Results: make([]Result, 0, n),
 		Seeds:   make([]uint64, n),
@@ -188,18 +215,18 @@ func (p *Pool) runDrawsCtx(ctx context.Context, cfg Config, draws []*Workload, k
 	generations := 0
 	var firstErr error
 	for rep := 0; rep < n; rep++ {
-		res, err := batch.WaitRep(rep)
+		res, err := b.WaitRep(rep)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue // drain the whole batch — no replicate left running
 		}
-		if batch.ExecutedRep(rep) {
+		if b.ExecutedRep(rep) {
 			generations++
 		}
 		rr.Seeds[rep] = draws[rep].prov.Seed
-		r := toResult(scheds[rep].Name(), res, len(draws[rep].set.Txns), simCfg.Cores)
+		r := toResult(labels[rep], res, draws[rep].txns, cores)
 		rr.Results = append(rr.Results, r)
 		impki[rep], dmpki[rep], tpm[rep], lat[rep] = r.IMPKI, r.DMPKI, r.ThroughputTPM, r.MeanLatency
 		if onProgress != nil {

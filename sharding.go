@@ -18,7 +18,6 @@ import (
 	"strex/internal/runner"
 	"strex/internal/shard"
 	"strex/internal/sim"
-	"strex/internal/stats"
 	"strex/internal/workload"
 )
 
@@ -116,7 +115,7 @@ func (w *Workload) wireRef() (shard.SetRef, bool) {
 		Workload: w.prov.Workload,
 		Seed:     w.prov.Seed,
 		Scale:    w.prov.Scale,
-		Txns:     len(w.set.Txns),
+		Txns:     w.txns,
 		TypeID:   w.prov.TypeID,
 		Synth:    w.syn,
 	}, true
@@ -126,8 +125,12 @@ func (w *Workload) wireRef() (shard.SetRef, bool) {
 // worker fleet. With opt.Fleet nil and opt.Ctx nil it is exactly
 // RunMany (which delegates here).
 func RunManySharded(w *Workload, specs []RunSpec, opt GridOptions) ([]Result, error) {
-	if w == nil || w.set == nil || len(w.set.Txns) == 0 {
+	if w == nil || w.txns == 0 {
 		return nil, fmt.Errorf("strex: RunMany needs a non-empty workload")
+	}
+	set, err := w.load(nil)
+	if err != nil {
+		return nil, err
 	}
 	ref, shippable := w.wireRef()
 	type run struct {
@@ -143,14 +146,14 @@ func RunManySharded(w *Workload, specs []RunSpec, opt GridOptions) ([]Result, er
 		// Schedulers are built eagerly on this goroutine: it surfaces
 		// config errors before any run starts, and the hybrid's profiling
 		// pass stays off the worker pool.
-		s, err := rs.Config.scheduler(rs.Sched, w, simCfg.Cores)
+		s, err := rs.Config.scheduler(rs.Sched, set, simCfg.Cores)
 		if err != nil {
 			return nil, err
 		}
 		spec := runner.Spec{
 			Label:   s.Name(),
 			Config:  simCfg,
-			Set:     w.set,
+			Set:     set,
 			Sched:   func() sim.Scheduler { return s },
 			SchedID: schedulerID(rs.Config, rs.Sched),
 			Ctx:     opt.Ctx,
@@ -183,7 +186,7 @@ func RunManySharded(w *Workload, specs []RunSpec, opt GridOptions) ([]Result, er
 		if err != nil {
 			return nil, err
 		}
-		out[i] = toResult(runs[i].name, res, len(w.set.Txns), runs[i].spec.Config.Cores)
+		out[i] = toResult(runs[i].name, res, w.txns, runs[i].spec.Config.Cores)
 	}
 	return out, nil
 }
@@ -198,8 +201,13 @@ func RunManyDrawsSharded(draws []*Workload, specs []RunSpec, opt GridOptions) ([
 	n := len(draws)
 	refs := make([]shard.SetRef, n)
 	shippable := make([]bool, n)
+	sets := make([]*workload.Set, n)
 	for rep, w := range draws {
 		refs[rep], shippable[rep] = w.wireRef()
+		var err error
+		if sets[rep], err = w.load(nil); err != nil {
+			return nil, err
+		}
 	}
 	x := runner.New(opt.Parallel)
 	x.SetRemote(opt.Fleet.remote())
@@ -211,8 +219,8 @@ func RunManyDrawsSharded(draws []*Workload, specs []RunSpec, opt GridOptions) ([
 		})
 	}
 	type cell struct {
-		simCfg sim.Config
-		scheds []sim.Scheduler
+		cores  int
+		labels []string
 		batch  *runner.Batch
 	}
 	cells := make([]cell, len(specs))
@@ -224,29 +232,29 @@ func RunManyDrawsSharded(draws []*Workload, specs []RunSpec, opt GridOptions) ([
 		// Scheduler construction stays on the caller's goroutine (like
 		// RunMany's eager construction): only simulations fan out.
 		scheds := make([]sim.Scheduler, n)
-		for rep, w := range draws {
-			s, err := spec.Config.scheduler(spec.Sched, w, simCfg.Cores)
-			if err != nil {
+		labels := make([]string, n)
+		for rep, set := range sets {
+			if scheds[rep], err = spec.Config.scheduler(spec.Sched, set, simCfg.Cores); err != nil {
 				return nil, err
 			}
-			scheds[rep] = s
+			labels[rep] = scheds[rep].Name()
 		}
 		schedID := schedulerID(spec.Config, spec.Sched)
 		rs := runner.ReplicateSpec{Spec: runner.Spec{
-			Label:   scheds[0].Name(),
+			Label:   labels[0],
 			Config:  simCfg,
-			Set:     draws[0].set,
+			Set:     sets[0],
 			Sched:   func() sim.Scheduler { return scheds[0] },
 			SchedID: schedID,
 			Ctx:     opt.Ctx,
 		}}
-		rs.SetFor = func(rep int) *workload.Set { return draws[rep].set }
+		rs.SetFor = func(rep int) *workload.Set { return sets[rep] }
 		rs.SchedFor = func(rep int) func() sim.Scheduler {
 			s := scheds[rep]
 			return func() sim.Scheduler { return s }
 		}
 		if opt.Fleet.remote() != nil {
-			label := scheds[0].Name()
+			label := labels[0]
 			rs.RemoteFor = func(rep int, cfg sim.Config, cacheKey string) interface{} {
 				if !shippable[rep] {
 					return nil
@@ -260,46 +268,15 @@ func RunManyDrawsSharded(draws []*Workload, specs []RunSpec, opt GridOptions) ([
 				}
 			}
 		}
-		cells[i] = cell{simCfg: simCfg, scheds: scheds, batch: x.SubmitReplicates(rs, n)}
+		cells[i] = cell{cores: simCfg.Cores, labels: labels, batch: x.SubmitReplicates(rs, n)}
 	}
 	out := make([]*ReplicatedResult, len(cells))
 	for i, c := range cells {
-		rr, err := collectDraws(c.batch, c.scheds, draws, c.simCfg)
+		rr, _, err := collectDraws(c.batch, draws, c.labels, c.cores, nil)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = rr
 	}
 	return out, nil
-}
-
-// collectDraws waits for one cell's batch and aggregates it into a
-// ReplicatedResult (the error-returning counterpart of draining
-// Batch.Results, so a cancelled grid surfaces ctx.Err instead of
-// panicking).
-func collectDraws(b *runner.Batch, scheds []sim.Scheduler, draws []*Workload, simCfg sim.Config) (*ReplicatedResult, error) {
-	n := len(draws)
-	rr := &ReplicatedResult{
-		Results: make([]Result, 0, n),
-		Seeds:   make([]uint64, n),
-	}
-	impki := make([]float64, n)
-	dmpki := make([]float64, n)
-	tpm := make([]float64, n)
-	lat := make([]float64, n)
-	for rep := 0; rep < n; rep++ {
-		res, err := b.WaitRep(rep)
-		if err != nil {
-			return nil, err
-		}
-		rr.Seeds[rep] = draws[rep].prov.Seed
-		r := toResult(scheds[rep].Name(), res, len(draws[rep].set.Txns), simCfg.Cores)
-		rr.Results = append(rr.Results, r)
-		impki[rep], dmpki[rep], tpm[rep], lat[rep] = r.IMPKI, r.DMPKI, r.ThroughputTPM, r.MeanLatency
-	}
-	rr.IMPKI = summaryOf(stats.Summarize(impki))
-	rr.DMPKI = summaryOf(stats.Summarize(dmpki))
-	rr.Throughput = summaryOf(stats.Summarize(tpm))
-	rr.MeanLatency = summaryOf(stats.Summarize(lat))
-	return rr, nil
 }

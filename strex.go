@@ -3,6 +3,7 @@ package strex
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"strex/internal/bench"
 	"strex/internal/cache"
@@ -140,34 +141,108 @@ func (c Config) build() (sim.Config, error) {
 	return cfg, nil
 }
 
-// Workload is a generated, replayable transaction set.
+// Workload is a generated, replayable transaction set. Its identity —
+// provenance and transaction count — is known without its content, so
+// a run whose result is already cached can be answered without ever
+// loading the set (see BuildWorkload).
 type Workload struct {
-	set  *workload.Set
 	prov tracefile.Provenance
+	// txns is the transaction count: the requested count for generated
+	// workloads (bench.BuildSet guarantees the set holds exactly that
+	// many), the set's length for loaded ones.
+	txns int
 	// syn holds the raw synth parameters when this is a generated Synth
 	// workload — the structural form of prov.Extra, needed to describe
 	// the set to sharding workers (see sharding.go). Nil for fixed
 	// benchmarks and trace-file loads.
 	syn *synth.Params
+
+	// rc is the trace cache a generated workload loads its set from and
+	// stores it to (nil = uncached). The set itself is materialized once,
+	// on first use (see load); a loaded trace file has it from the start.
+	rc   *runcache.Cache
+	once sync.Once
+	set  *workload.Set
+	err  error
+}
+
+// setKey is the workload's trace-cache address, rebuilt from its
+// identity alone: computing it, or a run key over it, needs no set.
+func (w *Workload) setKey() runcache.SetKey {
+	return runcache.SetKey{
+		Workload: w.prov.Workload,
+		Seed:     w.prov.Seed,
+		Scale:    w.prov.Scale,
+		Txns:     w.txns,
+		TypeID:   w.prov.TypeID,
+		Extra:    w.prov.Extra,
+	}
+}
+
+// load returns the workload's set, materializing it on first use. A
+// cache handle rc open on the workload's own cache directory (a pool's)
+// serves the trace lookup, so its traffic counters see the load;
+// otherwise the workload's own handle does. Safe for concurrent use:
+// the set is materialized once and every caller gets that outcome.
+func (w *Workload) load(rc *runcache.Cache) (*workload.Set, error) {
+	w.once.Do(func() { w.set, w.err = w.materialize(rc) })
+	return w.set, w.err
+}
+
+// materialize reads a generated workload's set from the trace cache, or
+// generates it and stores it there.
+func (w *Workload) materialize(rc *runcache.Cache) (*workload.Set, error) {
+	if rc == nil || rc.Dir() != w.rc.Dir() {
+		rc = w.rc
+	}
+	key := w.setKey()
+	if set, ok := rc.GetSet(key); ok && len(set.Txns) == w.txns {
+		return set, nil
+	}
+	opts := bench.Options{Seed: w.prov.Seed, Scale: w.prov.Scale}
+	if w.syn != nil {
+		opts.Synth = *w.syn
+	}
+	set, err := bench.BuildSet(w.prov.Workload, w.txns, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Store failures degrade to "regenerate next time" (the set in hand
+	// is complete and valid), matching the runner's policy for result
+	// stores.
+	_ = rc.PutSet(key, set)
+	return set, nil
+}
+
+// content returns the set for the accessors that read it, loading it on
+// first use. Loading fails only when a generator breaks its own
+// contract (an invalid set or a wrong count), which no registered
+// generator does, so a failure here is a program defect and panics.
+func (w *Workload) content() *workload.Set {
+	set, err := w.load(nil)
+	if err != nil {
+		panic(fmt.Sprintf("strex: loading workload %s: %v", w.prov.Workload, err))
+	}
+	return set
 }
 
 // Name returns the workload label (e.g. "TPC-C-10").
-func (w *Workload) Name() string { return w.set.Name }
+func (w *Workload) Name() string { return w.content().Name }
 
 // Txns returns the number of transactions.
-func (w *Workload) Txns() int { return len(w.set.Txns) }
+func (w *Workload) Txns() int { return w.txns }
 
 // Instrs returns the total instruction count.
-func (w *Workload) Instrs() uint64 { return w.set.Instrs() }
+func (w *Workload) Instrs() uint64 { return w.content().Instrs() }
 
 // Types returns the transaction type names.
-func (w *Workload) Types() []string { return append([]string(nil), w.set.Types...) }
+func (w *Workload) Types() []string { return append([]string(nil), w.content().Types...) }
 
 // FootprintUnits returns the average per-type instruction footprint in
 // 32KB L1-I units (the paper's Table 3 metric), as the hybrid's FPTable
 // profiling would measure it.
 func (w *Workload) FootprintUnits() float64 {
-	return core.MeasureFPTable(w.set, 4).AverageUnits()
+	return core.MeasureFPTable(w.content(), 4).AverageUnits()
 }
 
 // WorkloadInfo describes one registered workload (see Workloads).
@@ -240,13 +315,12 @@ type WorkloadOptions struct {
 // schedulers compares them on identical transactions. With
 // WorkloadOptions.CacheDir set, generation is memoized on disk —
 // cached and fresh builds are byte-identical because set content is a
-// pure function of the options.
+// pure function of the options — and the set is loaded on first use,
+// not here: it is read from the trace cache, or generated and stored,
+// when a run must execute or an accessor reads the content. A run whose
+// result is already in a pool's cache never loads it. Without a cache
+// the set is generated before BuildWorkload returns.
 func BuildWorkload(name string, opts WorkloadOptions) (*Workload, error) {
-	sp := synth.Params{
-		FootprintUnits: opts.SynthFootprintUnits,
-		Types:          opts.SynthTypes,
-		DataReuse:      opts.SynthDataReuse,
-	}
 	canonical := name
 	info, known := bench.Lookup(name)
 	if known {
@@ -255,59 +329,44 @@ func BuildWorkload(name string, opts WorkloadOptions) (*Workload, error) {
 	var extra string
 	var syn *synth.Params
 	if canonical == "Synth" {
-		extra = fmt.Sprintf("%#v", sp) // synth knobs determine content too
-		p := sp
-		syn = &p
+		syn = &synth.Params{
+			FootprintUnits: opts.SynthFootprintUnits,
+			Types:          opts.SynthTypes,
+			DataReuse:      opts.SynthDataReuse,
+		}
+		extra = fmt.Sprintf("%#v", *syn) // synth knobs determine content too
 	}
-	var rc *runcache.Cache
-	var key runcache.SetKey
-	if known && opts.CacheDir != "" && !opts.NoCache {
+	w := &Workload{
+		prov: tracefile.Provenance{
+			Workload: canonical, Seed: opts.Seed, Scale: opts.Scale,
+			TypeID: -1, // the facade only builds mixed streams
+			Extra:  extra,
+		},
+		txns: opts.Txns,
+		syn:  syn,
+	}
+	if known && opts.Txns > 0 && opts.CacheDir != "" && !opts.NoCache {
 		var err error
-		if rc, err = runcache.Open(opts.CacheDir); err != nil {
+		if w.rc, err = runcache.Open(opts.CacheDir); err != nil {
 			return nil, err
 		}
-		key = runcache.SetKey{
-			Workload: canonical,
-			Seed:     opts.Seed,
-			Scale:    opts.Scale,
-			Txns:     opts.Txns,
-			TypeID:   -1,
-			Extra:    extra,
-		}
-		if set, ok := rc.GetSet(key); ok {
-			return &Workload{set: set, prov: provenance(canonical, extra, opts), syn: syn}, nil
-		}
+		return w, nil
 	}
-	set, err := bench.BuildSet(name, opts.Txns, bench.Options{
-		Seed:  opts.Seed,
-		Scale: opts.Scale,
-		Synth: sp,
-	})
-	if err != nil {
+	if _, err := w.load(nil); err != nil {
 		return nil, err
 	}
-	if rc != nil {
-		// Store failures degrade to "regenerate next time" (the workload
-		// in hand is complete and valid), matching the runner's policy
-		// for result stores.
-		_ = rc.PutSet(key, set)
-	}
-	return &Workload{set: set, prov: provenance(canonical, extra, opts), syn: syn}, nil
-}
-
-func provenance(canonical, extra string, opts WorkloadOptions) tracefile.Provenance {
-	return tracefile.Provenance{
-		Workload: canonical, Seed: opts.Seed, Scale: opts.Scale,
-		TypeID: -1, // the facade only builds mixed streams
-		Extra:  extra,
-	}
+	return w, nil
 }
 
 // SaveTrace writes the workload to path as a versioned, checksummed
 // .strextrace artifact (see docs/TRACES.md for the format). The file
 // replays anywhere via LoadWorkload or strexsim -load-trace.
 func (w *Workload) SaveTrace(path string) error {
-	return tracefile.Save(path, w.set, w.prov)
+	set, err := w.load(nil)
+	if err != nil {
+		return err
+	}
+	return tracefile.Save(path, set, w.prov)
 }
 
 // LoadWorkload reads a .strextrace artifact previously written by
@@ -318,7 +377,9 @@ func LoadWorkload(path string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{set: set, prov: meta.Provenance}, nil
+	w := &Workload{prov: meta.Provenance, txns: len(set.Txns)}
+	w.once.Do(func() { w.set = set })
+	return w, nil
 }
 
 // TPCCConfig parameterizes a TPC-C workload.
@@ -387,9 +448,10 @@ type Result struct {
 	Latencies []uint64
 }
 
-// scheduler builds a fresh scheduler instance for one run of w under
-// this configuration.
-func (c Config) scheduler(kind SchedulerKind, w *Workload, cores int) (sim.Scheduler, error) {
+// scheduler builds a fresh scheduler instance for one run of set under
+// this configuration. Only the hybrid reads the set (it profiles its
+// footprints); every other kind accepts a nil set.
+func (c Config) scheduler(kind SchedulerKind, set *workload.Set, cores int) (sim.Scheduler, error) {
 	switch kind {
 	case SchedBaseline:
 		return sched.NewBaseline(), nil
@@ -406,7 +468,7 @@ func (c Config) scheduler(kind SchedulerKind, w *Workload, cores int) (sim.Sched
 	case SchedSLICC:
 		return sched.NewSlicc(), nil
 	case SchedHybrid:
-		return sched.NewHybrid(w.set, cores, 3), nil
+		return sched.NewHybrid(set, cores, 3), nil
 	}
 	return nil, fmt.Errorf("strex: unknown scheduler %v", kind)
 }
@@ -453,23 +515,27 @@ func Run(cfg Config, w *Workload, kind SchedulerKind) (Result, error) {
 // loadable in Perfetto — see docs/OBSERVABILITY.md). Tracing is purely
 // observational: the Result is identical to Run's.
 func RunTraced(cfg Config, w *Workload, kind SchedulerKind, events int) (Result, *obs.Timeline, error) {
-	if w == nil || w.set == nil || len(w.set.Txns) == 0 {
+	if w == nil || w.txns == 0 {
 		return Result{}, nil, fmt.Errorf("strex: RunTraced needs a non-empty workload")
+	}
+	set, err := w.load(nil)
+	if err != nil {
+		return Result{}, nil, err
 	}
 	simCfg, err := cfg.build()
 	if err != nil {
 		return Result{}, nil, err
 	}
-	s, err := cfg.scheduler(kind, w, simCfg.Cores)
+	s, err := cfg.scheduler(kind, set, simCfg.Cores)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	tl := obs.NewTimeline(events)
 	tl.SetMeta(w.prov.Workload, s.Name(), simCfg.Cores)
-	eng := sim.New(simCfg, w.set, s)
+	eng := sim.New(simCfg, set, s)
 	eng.SetTimeline(tl)
 	res := eng.Run().Detach()
-	return toResult(s.Name(), res, len(w.set.Txns), simCfg.Cores), tl, nil
+	return toResult(s.Name(), res, w.txns, simCfg.Cores), tl, nil
 }
 
 // Timeline re-exports the obs tracer type so facade callers need not
@@ -571,9 +637,6 @@ func ReplicateWorkloads(name string, wopts WorkloadOptions, seeds int) ([]*Workl
 		w, err := BuildWorkload(name, ropts)
 		if err != nil {
 			return nil, err
-		}
-		if len(w.set.Txns) == 0 {
-			return nil, fmt.Errorf("strex: replicated runs need a non-empty workload")
 		}
 		draws[rep] = w
 	}
