@@ -8,7 +8,7 @@
 //	            [-csv] [-cache-dir DIR] [-no-cache] [-json PATH]
 //
 // -txns scales the sample size per configuration (default 160
-// transactions; the paper replays 1.2B instructions, see DESIGN.md §6).
+// transactions; the paper replays 1.2B instructions, see docs/MODEL.md).
 // -seeds runs every fig5-fig9/sweep/smoke cell R times: replicate 0 at
 // the verbatim master seed (its tables and cache keys are byte-identical
 // to a -seeds 1 run) and the rest at derived seeds with fresh trace

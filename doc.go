@@ -27,7 +27,7 @@
 // manager (B+-trees, heap tables, locking, logging) that generates
 // instruction/data traces with the code-overlap structure of Shore-MT,
 // the schedulers, and drivers reproducing every table and figure of the
-// paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
+// paper's evaluation (see docs/MODEL.md and EXPERIMENTS.md).
 //
 // Quick start (the repo is a self-contained module, `module strex`, with
 // no external dependencies — `go build ./... && go test ./...` from a

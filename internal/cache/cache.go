@@ -13,10 +13,14 @@
 // Replacement policies are pluggable (Section 5.7 of the paper):
 // LRU, LIP, BIP, SRRIP and BRRIP.
 //
+// A demand access is one Lookup, which changes nothing, then HitAt or
+// MissAt on the slot it found. Access and Touch do both; AccessBrief and
+// AccessHit fuse them for the hottest loops.
+//
 // Layout note: the line array is two parallel slices — tags (with an
-// InvalidBlock sentinel for invalid lines, so lookup is one comparison
-// per way and the free-way scan is folded into the same pass) and a
-// packed per-line meta word (dirty/prefetch flags plus the phaseID).
+// InvalidBlock sentinel for invalid lines) and a packed per-line meta
+// word (dirty/prefetch flags plus the phaseID) — beside a reverse
+// block→way index, so a lookup costs two loads at any associativity.
 // The simulator replays hundreds of millions of accesses per suite run,
 // so the representation is chosen to touch as few host cache lines per
 // simulated access as possible; see docs/ENGINE.md.
@@ -136,11 +140,6 @@ type Cache struct {
 	hasPF bool
 
 	Stats Stats
-
-	// OnEvict, when non-nil, is invoked for every valid line displaced
-	// by a fill, before the new line is installed. STREX's victim block
-	// monitoring unit hooks here.
-	OnEvict func(block uint32, phase uint8)
 }
 
 // New builds a cache from cfg. It panics on invalid geometry, which is a
@@ -262,32 +261,40 @@ const (
 	locPageMask = 1<<locPageBits - 1
 )
 
-// find locates block's line via the reverse index: way (or -1) plus, on
-// a miss, the first free way (-1 when the set is full). The free-way
-// scan only runs while the set still has invalid lines — cold fills —
-// so the steady-state miss path never touches the tag array at all.
-// free is unspecified on hits (callers use it only when way < 0).
-func (c *Cache) find(block uint32) (set, way, free int) {
+// A Slot is where Lookup placed a block: its set, its way when the
+// block is resident (-1 otherwise) and, on a miss, the set's first free
+// way (-1 when the set is full). It stays valid until the cache changes.
+type Slot struct {
+	set, way, free int
+}
+
+// Resident reports whether the looked-up block is in the cache.
+func (s Slot) Resident() bool { return s.way >= 0 }
+
+// Lookup locates block via the reverse index. The free-way scan only
+// runs while the set still has invalid lines — cold fills — so the
+// steady-state miss path never touches the tag array at all. It changes
+// nothing: the demand access is applied to the slot by HitAt or MissAt.
+func (c *Cache) Lookup(block uint32) Slot {
 	if p := block >> locPageBits; int(p) < len(c.loc) {
 		if pg := c.loc[p]; pg != nil {
 			if w := pg[block&locPageMask]; w != 0 {
-				return c.setOf(block), int(w) - 1, -1
+				return Slot{c.setOf(block), int(w) - 1, -1}
 			}
 		}
 	}
-	set = c.setOf(block)
-	free = -1
-	if c.freeCount[set] > 0 {
-		base := set * c.ways
+	s := Slot{c.setOf(block), -1, -1}
+	if c.freeCount[s.set] > 0 {
+		base := s.set * c.ways
 		tags := c.tags[base : base+c.ways] // one bounds check for the scan
 		for w, t := range tags {
 			if t == InvalidBlock {
-				free = w
+				s.free = w
 				break
 			}
 		}
 	}
-	return set, -1, free
+	return s
 }
 
 // locSet records block as resident in way, growing the page store on
@@ -330,41 +337,62 @@ func (c *Cache) Touch(block uint32, phaseID uint8) AccessResult {
 }
 
 func (c *Cache) access(block uint32, write bool, phaseID uint8, tagPhase bool) AccessResult {
+	s := c.Lookup(block)
+	if s.Resident() {
+		return AccessResult{Hit: true, PrefetchHit: c.HitAt(s, write, phaseID, tagPhase)}
+	}
+	res := AccessResult{VictimBlock: InvalidBlock}
+	if s.free < 0 {
+		v := c.victimIndex(s)
+		m := c.meta[v]
+		res = AccessResult{Evicted: true, VictimBlock: c.tags[v], VictimPhase: uint8(m >> 8), VictimDirty: m&metaDirty != 0}
+	}
+	c.MissAt(s, block, write, phaseID)
+	return res
+}
+
+// HitAt applies a demand hit on the resident slot s: hit statistics, the
+// line's prefetch credit cleared, write marking it dirty, tagPhase
+// tagging it with phaseID, and a replacement promotion. It reports
+// whether the line was a prefetcher's, not yet demanded.
+func (c *Cache) HitAt(s Slot, write bool, phaseID uint8, tagPhase bool) (pfHit bool) {
+	c.Stats.Accesses++
+	c.Stats.Hits++
+	if c.hasPF || write || tagPhase {
+		idx := s.set*c.ways + s.way
+		m := c.meta[idx]
+		nm := m
+		if nm&metaPF != 0 {
+			nm &^= metaPF
+			c.Stats.PrefetchHits++
+			pfHit = true
+		}
+		if write {
+			nm |= metaDirty
+		}
+		if tagPhase {
+			nm = nm&0x00FF | uint16(phaseID)<<8
+		}
+		if nm != m {
+			// Skipping the no-change store keeps read-mostly hits
+			// from dirtying a host cache line.
+			c.meta[idx] = nm
+		}
+	}
+	c.polOnHit(s.set, s.way)
+	return pfHit
+}
+
+// MissAt applies a demand miss of block at the slot s that Lookup found
+// for it: miss statistics, then block fills the set's free way or
+// replaces the policy's victim.
+func (c *Cache) MissAt(s Slot, block uint32, write bool, phaseID uint8) {
 	if block == InvalidBlock {
 		panic("cache: access to InvalidBlock")
 	}
 	c.Stats.Accesses++
-	set, way, free := c.find(block)
-	if way >= 0 {
-		idx := set*c.ways + way
-		c.Stats.Hits++
-		var res AccessResult
-		res.Hit = true
-		if c.hasPF || write || tagPhase {
-			m := c.meta[idx]
-			nm := m
-			if nm&metaPF != 0 {
-				nm &^= metaPF
-				c.Stats.PrefetchHits++
-				res.PrefetchHit = true
-			}
-			if write {
-				nm |= metaDirty
-			}
-			if tagPhase {
-				nm = nm&0x00FF | uint16(phaseID)<<8
-			}
-			if nm != m {
-				// Skipping the no-change store keeps read-mostly hits
-				// from dirtying a host cache line.
-				c.meta[idx] = nm
-			}
-		}
-		c.polOnHit(set, way)
-		return res
-	}
 	c.Stats.Misses++
-	return c.fill(set, free, block, write, phaseID)
+	c.fill(s, block, write, phaseID)
 }
 
 // AccessHit performs a demand access if and only if it would hit in a
@@ -378,11 +406,11 @@ func (c *Cache) AccessHit(block uint32, phaseID uint8, tagPhase bool) bool {
 	if block == InvalidBlock {
 		panic("cache: access to InvalidBlock")
 	}
-	set, way, _ := c.find(block)
-	if way < 0 {
+	s := c.Lookup(block)
+	if s.way < 0 {
 		return false
 	}
-	idx := set*c.ways + way
+	idx := s.set*c.ways + s.way
 	if c.hasPF || tagPhase {
 		m := c.meta[idx]
 		if m&metaPF != 0 {
@@ -398,44 +426,41 @@ func (c *Cache) AccessHit(block uint32, phaseID uint8, tagPhase bool) bool {
 	}
 	c.Stats.Accesses++
 	c.Stats.Hits++
-	c.polOnHit(set, way)
+	c.polOnHit(s.set, s.way)
 	return true
 }
 
-// fill installs block into set at the given free way (-1 = set full,
-// evict), returning the AccessResult with victim information (Hit=false).
-func (c *Cache) fill(set, way int, block uint32, write bool, phaseID uint8) AccessResult {
-	var res AccessResult
+// fill installs block at the missed slot s — into its free way, or over
+// the policy's victim when the set is full — and returns the way.
+func (c *Cache) fill(s Slot, block uint32, write bool, phaseID uint8) int {
+	way := s.free
 	if way < 0 {
-		way, res.VictimBlock, res.VictimPhase, res.VictimDirty = c.evict(set)
-		res.Evicted = true
+		way = c.evict(s.set)
 	} else {
-		res.VictimBlock = InvalidBlock
-		c.freeCount[set]--
+		c.freeCount[s.set]--
 	}
-	c.install(set, way, block, write, phaseID)
-	return res
+	c.install(s.set, way, block, write, phaseID)
+	return way
 }
 
-// evict selects a victim in set, removes it (statistics, reverse index,
-// OnEvict delivery) and returns the freed way plus the victim's
-// identity. Shared by fill and the brief access path; the returned
-// scalars stay in registers where fill's AccessResult would not.
-func (c *Cache) evict(set int) (way int, vblock uint32, vphase uint8, vdirty bool) {
-	way = c.polVictim(set)
+// evict selects a victim in set, removes it (statistics, reverse index)
+// and returns the freed way. Shared by fill and AccessBrief.
+func (c *Cache) evict(set int) int {
+	way := c.polVictim(set)
 	idx := set*c.ways + way
-	vblock = c.tags[idx]
-	vphase = uint8(c.meta[idx] >> 8)
-	vdirty = c.meta[idx]&metaDirty != 0
-	if vdirty {
+	if c.meta[idx]&metaDirty != 0 {
 		c.Stats.WriteBacks++
 	}
 	c.Stats.Evictions++
-	c.locClear(vblock)
-	if c.OnEvict != nil {
-		c.OnEvict(vblock, vphase)
-	}
-	return
+	c.locClear(c.tags[idx])
+	return way
+}
+
+// victimIndex returns the line a fill into the full set of s would
+// replace, without changing replacement state: polPeekVictim predicts
+// polVictim exactly (TestWouldEvictPredictionMatchesFill).
+func (c *Cache) victimIndex(s Slot) int {
+	return s.set*c.ways + c.polPeekVictim(s.set)
 }
 
 // install writes block into (set, way): tag, reverse index, meta,
@@ -453,14 +478,14 @@ func (c *Cache) install(set, way int, block uint32, write bool, phaseID uint8) {
 }
 
 // AccessBrief performs exactly the demand access Access/Touch would —
-// same statistics, same replacement, meta and reverse-index updates,
-// same OnEvict delivery — but reports only the hit and prefetch-hit
-// outcomes, with the lookup fused into one frame. The engine's solo
+// same statistics, same replacement, meta and reverse-index updates —
+// but reports only the hit and prefetch-hit outcomes, with the lookup
+// and both halves (HitAt, MissAt) fused into one frame. The engine's solo
 // replay loop and the L2 fetch path issue this tens of millions of
 // times per simulated run; dropping the AccessResult marshalling and
-// the find/fill call boundaries is a measurable share of the miss
-// path. Any behavioural change here must be mirrored in access (the
-// differential suites compare the two paths run-for-run).
+// the Lookup/MissAt call boundaries is a measurable share of the miss
+// path. Any behavioural change here must be mirrored in HitAt and MissAt
+// (TestAccessPathsAgree and the engine differentials compare them).
 func (c *Cache) AccessBrief(block uint32, write bool, phaseID uint8, tagPhase bool) (hit, pfHit bool) {
 	if block == InvalidBlock {
 		panic("cache: access to InvalidBlock")
@@ -516,7 +541,7 @@ func (c *Cache) AccessBrief(block uint32, write bool, phaseID uint8, tagPhase bo
 		}
 	}
 	if way < 0 {
-		way, _, _, _ = c.evict(set)
+		way = c.evict(set)
 	} else {
 		c.freeCount[set]--
 	}
@@ -526,33 +551,27 @@ func (c *Cache) AccessBrief(block uint32, write bool, phaseID uint8, tagPhase bo
 
 // InsertPrefetch installs block without counting a demand access, as a
 // hardware prefetcher would. If the block is already present it is a
-// no-op. The displaced victim (if any) still triggers OnEvict: a prefetch
-// can steal a teammate's block just like a demand fill can.
+// no-op. A prefetch can evict a teammate's block just like a demand
+// fill can.
 func (c *Cache) InsertPrefetch(block uint32) {
-	set, way, free := c.find(block)
-	if way >= 0 {
+	s := c.Lookup(block)
+	if s.Resident() {
 		return
 	}
 	c.hasPF = true
-	c.fill(set, free, block, false, 0)
-	idx, _ := c.indexOf(block)
-	c.meta[idx] |= metaPF
+	c.meta[s.set*c.ways+c.fill(s, block, false, 0)] |= metaPF
 	c.Stats.PrefetchFills++
 }
 
 func (c *Cache) indexOf(block uint32) (int, bool) {
-	set, way, _ := c.find(block)
-	if way < 0 {
-		return 0, false
-	}
-	return set*c.ways + way, true
+	s := c.Lookup(block)
+	return s.set*c.ways + s.way, s.Resident()
 }
 
 // Contains reports whether block is resident. It does not disturb
 // replacement state (probes are free, as a coherence snoop would be).
 func (c *Cache) Contains(block uint32) bool {
-	_, way, _ := c.find(block)
-	return way >= 0
+	return c.Lookup(block).Resident()
 }
 
 // WouldEvict reports what a fill of block would displace, without
@@ -563,12 +582,16 @@ func (c *Cache) Contains(block uint32) bool {
 // the point where it would be forced to evict" a block of the current
 // phase).
 func (c *Cache) WouldEvict(block uint32) (victimPhase uint8, would bool) {
-	set, way, free := c.find(block)
-	if way >= 0 || free >= 0 {
+	return c.WouldEvictAt(c.Lookup(block))
+}
+
+// WouldEvictAt is WouldEvict on the slot Lookup found: it peeks the
+// victim's phase in that set and changes nothing.
+func (c *Cache) WouldEvictAt(s Slot) (victimPhase uint8, would bool) {
+	if s.way >= 0 || s.free >= 0 {
 		return 0, false
 	}
-	vw := c.polPeekVictim(set)
-	return uint8(c.meta[set*c.ways+vw] >> 8), true
+	return uint8(c.meta[c.victimIndex(s)] >> 8), true
 }
 
 // PhaseOf returns the phaseID tag of a resident block.

@@ -159,20 +159,6 @@ func TestVictimPhaseReported(t *testing.T) {
 	}
 }
 
-func TestOnEvictHook(t *testing.T) {
-	c := smallCache(LRU)
-	var gotBlock uint32
-	var gotPhase uint8
-	calls := 0
-	c.OnEvict = func(b uint32, p uint8) { gotBlock, gotPhase = b, p; calls++ }
-	c.Touch(0, 1)
-	c.Touch(4, 1)
-	c.Touch(8, 2)
-	if calls != 1 || gotBlock != 0 || gotPhase != 1 {
-		t.Fatalf("hook: calls=%d block=%d phase=%d", calls, gotBlock, gotPhase)
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	c := smallCache(LRU)
 	c.Access(5, true)

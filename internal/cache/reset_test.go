@@ -63,7 +63,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestLocIndexConsistency cross-checks find()'s reverse index against
+// TestLocIndexConsistency cross-checks Lookup's reverse index against
 // the tag array through a long mixed sequence.
 func TestLocIndexConsistency(t *testing.T) {
 	c := New(Config{SizeBytes: 2048, BlockBytes: 64, Ways: 4, Policy: LRU, Seed: 3})
@@ -77,9 +77,8 @@ func TestLocIndexConsistency(t *testing.T) {
 				continue
 			}
 			want := i % c.Ways()
-			s2, w2, _ := c.find(tag)
-			if s2 != set || w2 != want {
-				t.Fatalf("find(%d) = (%d,%d), tags say (%d,%d)", tag, s2, w2, set, want)
+			if s := c.Lookup(tag); s.set != set || s.way != want {
+				t.Fatalf("Lookup(%d) = (%d,%d), tags say (%d,%d)", tag, s.set, s.way, set, want)
 			}
 		}
 		for s, n := range free {

@@ -36,6 +36,8 @@ func TestWouldEvictReportsVictimPhase(t *testing.T) {
 // STREX's switch-before-evict: for every policy, when WouldEvict
 // predicts a victim phase, the immediately following fill must evict a
 // block with exactly that phase (no state drift between peek and fill).
+// The displaced line is read from the contents, not from Touch's
+// result, which reports its victim through the same peek.
 func TestWouldEvictPredictionMatchesFill(t *testing.T) {
 	for _, pol := range []PolicyKind{LRU, LIP, BIP, SRRIP, BRRIP} {
 		pol := pol
@@ -46,12 +48,23 @@ func TestWouldEvictPredictionMatchesFill(t *testing.T) {
 				b := uint32(b16) % 64
 				phase++
 				predictedPhase, would := c.WouldEvict(b)
+				before := map[uint32]uint8{}
+				c.ForEach(func(blk uint32, ph uint8) { before[blk] = ph })
 				r := c.Touch(b, phase)
-				if would != r.Evicted && !r.Hit {
+				if would != r.Evicted {
 					// A miss must evict iff predicted (hit can't evict).
 					return false
 				}
-				if would && r.Evicted && r.VictimPhase != predictedPhase {
+				gone := 0
+				for blk, ph := range before {
+					if !c.Contains(blk) {
+						gone++
+						if ph != predictedPhase {
+							return false
+						}
+					}
+				}
+				if would != (gone == 1) || gone > 1 {
 					return false
 				}
 			}

@@ -203,12 +203,24 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable2MentionsKeyParameters(t *testing.T) {
-	s := smallSuite().Table2().String()
+	tab := smallSuite().Table2()
+	s := tab.String()
 	for _, want := range []string{"32KB", "1MB per core", "torus", "42ns"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Table 2 missing %q:\n%s", want, s)
 		}
 	}
+	// The core model charges no L1 load-to-use latency, so the row that
+	// echoes the paper's value must say that it is not modelled.
+	for _, row := range tab.Rows {
+		if row[0] == "L1 load-to-use" {
+			if !strings.Contains(row[1], "not modelled") {
+				t.Fatalf("Table 2 presents the L1 load-to-use latency as modelled: %q", row[1])
+			}
+			return
+		}
+	}
+	t.Fatalf("Table 2 has no L1 load-to-use row:\n%s", s)
 }
 
 func TestTable3WithinPaperTolerance(t *testing.T) {

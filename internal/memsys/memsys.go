@@ -17,7 +17,7 @@ import (
 
 // Latencies collects the fixed access costs, in core cycles.
 type Latencies struct {
-	L1Hit       int // load-to-use; charged by the core model for every access
+	L1Hit       int // load-to-use (Table 2); not modelled: no code charges it
 	L2Hit       int // L2 slice hit, before interconnect hops
 	Mem         int // DRAM access (42ns at 2.5GHz)
 	HopCycles   int // per-hop 2D torus latency

@@ -29,7 +29,7 @@ type Slicc struct {
 	e *sim.Engine
 
 	// queues[c] holds threads waiting to run on core c (FIFO).
-	queues [][]*sim.Thread
+	queues []runQueue
 	// teamSize bounds in-flight threads to 2N (paper Section 5.1).
 	inFlight int
 	// entryCore pins each transaction type (header) to the core where
@@ -47,6 +47,30 @@ type Slicc struct {
 	matchAt    int // remote signature matches required to follow
 	fillSpread int // fresh blocks fetched locally before spreading
 	cooldown   int // accesses to wait after a migration
+}
+
+// runQueue is a FIFO ring of the threads waiting on one core. A queue
+// never holds more than the 2N threads in flight, so Bind sizes every
+// ring at 2N slots and a push never allocates.
+type runQueue struct {
+	buf     []*sim.Thread
+	head, n int
+}
+
+func (q *runQueue) push(t *sim.Thread) {
+	if q.n == len(q.buf) {
+		panic("sched: SLICC run queue over the in-flight limit")
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = t
+	q.n++
+}
+
+func (q *runQueue) pop() *sim.Thread {
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return t
 }
 
 type sliccState struct {
@@ -165,22 +189,26 @@ func (s *Slicc) OnHitRun(coreID int, entries int, instrs uint64) {
 // Bind implements sim.Scheduler.
 func (s *Slicc) Bind(e *sim.Engine) {
 	s.e = e
-	s.queues = make([][]*sim.Thread, e.Cores())
+	n := e.Cores()
+	s.queues = make([]runQueue, n)
+	slots := make([]*sim.Thread, n*2*n)
+	for c := range s.queues {
+		s.queues[c].buf = slots[c*2*n : (c+1)*2*n : (c+1)*2*n]
+	}
 	s.entryCore = make(map[uint32]int)
 }
 
 // Dispatch implements sim.Scheduler: run the local queue; refill the
 // in-flight population (≤ 2N threads) from the pending window.
 func (s *Slicc) Dispatch(coreID int) *sim.Thread {
-	if len(s.queues[coreID]) == 0 {
+	q := &s.queues[coreID]
+	if q.n == 0 {
 		s.refill()
 	}
-	q := s.queues[coreID]
-	if len(q) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	t := q[0]
-	s.queues[coreID] = q[1:]
+	t := q.pop()
 	if t.Scratch == nil {
 		t.Scratch = &sliccState{windowLeft: s.window}
 	}
@@ -207,22 +235,8 @@ func (s *Slicc) refill() {
 			s.nextEntry++
 			s.entryCore[t.Txn.Header] = c
 		}
-		s.queues[c] = append(s.queues[c], t)
+		s.queues[c].push(t)
 	}
-}
-
-func (s *Slicc) shortestQueue() int {
-	best, bestLen := 0, int(^uint(0)>>1)
-	for c := range s.queues {
-		l := len(s.queues[c])
-		if s.e.Core(c).Cur != nil {
-			l++
-		}
-		if l < bestLen {
-			best, bestLen = c, l
-		}
-	}
-	return best
 }
 
 // Phase implements sim.Scheduler: SLICC does not tag phases.
@@ -306,7 +320,7 @@ func (s *Slicc) spreadTarget(from int) int {
 		if c == from {
 			continue
 		}
-		l := len(s.queues[c])
+		l := s.queues[c].n
 		if s.e.Core(c).Cur != nil {
 			l++
 		}
@@ -324,7 +338,7 @@ func (s *Slicc) OnYield(coreID int, t *sim.Thread) {
 
 // OnMigrate implements sim.Scheduler: enqueue at the destination.
 func (s *Slicc) OnMigrate(from, to int, t *sim.Thread) {
-	s.queues[to] = append(s.queues[to], t)
+	s.queues[to].push(t)
 }
 
 // OnComplete implements sim.Scheduler.

@@ -78,7 +78,7 @@ func TestSliccQueuesDrainOnCompletion(t *testing.T) {
 	s := NewSlicc()
 	res := sim.New(sim.DefaultConfig(2), set, s).Run()
 	for c := range s.queues {
-		if len(s.queues[c]) != 0 {
+		if s.queues[c].n != 0 {
 			t.Fatalf("core %d queue not drained", c)
 		}
 	}
@@ -89,6 +89,34 @@ func TestSliccQueuesDrainOnCompletion(t *testing.T) {
 		if !th.Cursor.Done() {
 			t.Fatal("thread lost")
 		}
+	}
+}
+
+func TestRunQueueIsFIFOAcrossWrap(t *testing.T) {
+	q := runQueue{buf: make([]*sim.Thread, 3)}
+	ts := make([]sim.Thread, 4)
+	q.push(&ts[0])
+	q.push(&ts[1])
+	if got := q.pop(); got != &ts[0] {
+		t.Fatal("pop did not return the oldest thread")
+	}
+	q.push(&ts[2])
+	q.push(&ts[3]) // wraps past the end of the ring
+	for i, want := range []*sim.Thread{&ts[1], &ts[2], &ts[3]} {
+		if got := q.pop(); got != want {
+			t.Fatalf("pop %d out of order", i)
+		}
+	}
+	if q.n != 0 {
+		t.Fatalf("%d threads left after draining", q.n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a push past the ring's capacity did not panic")
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		q.push(&ts[0])
 	}
 }
 

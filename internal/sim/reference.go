@@ -97,17 +97,12 @@ func (e *Engine) stepReference(c *Core) {
 			// A late next-line prefetch hides most but not all latency.
 			c.Clock += uint64(e.mem.Lat().L2Hit / 2)
 		}
-		ev.IEvicted = r.Evicted
-		ev.VictimBlock = r.VictimBlock
-		ev.VictimPhase = r.VictimPhase
 		e.pf.OnIFetch(c.L1I, entry.Block, r.Hit)
 
 	case trace.KLoad, trace.KStore:
 		write := entry.Kind == trace.KStore
 		c.Clock++ // address generation / pipeline slot
-		r := c.Exec(entry, 0, false)
-		if !r.Hit {
-			ev.DMiss = true
+		if r := c.Exec(entry, 0, false); !r.Hit {
 			c.Clock += uint64(e.mem.FetchD(c.ID, entry.Block, write))
 		} else if write {
 			c.Clock += uint64(e.mem.WriteHit(c.ID, entry.Block))

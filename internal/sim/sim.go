@@ -1,5 +1,5 @@
 // Package sim is the chip-multiprocessor simulator that replays workload
-// traces (the Zesto substitute; see DESIGN.md for the substitution
+// traces (the Zesto substitute; see docs/MODEL.md for the substitution
 // argument). Each core executes its current thread's trace entries at
 // one instruction per cycle, charging additional latency for L1 misses
 // serviced by the shared NUCA L2 / memory, coherence invalidations,
@@ -110,12 +110,8 @@ type Core struct {
 // Event describes the outcome of one executed trace entry; schedulers
 // receive it after every entry in the categories their HookMask claims.
 type Event struct {
-	Entry       trace.Entry
-	IMiss       bool
-	DMiss       bool
-	IEvicted    bool
-	VictimBlock uint32
-	VictimPhase uint8
+	Entry trace.Entry
+	IMiss bool // an instruction entry that missed in the L1-I
 }
 
 // Action is the scheduler's reaction to an Event.
@@ -145,7 +141,7 @@ const (
 	// L1-I. Declaring it disables the hit-run fast path.
 	HookIHit HookMask = 1 << iota
 	// HookIMiss delivers OnEvent for instruction entries that missed
-	// (the events carrying IMiss/IEvicted/Victim* information).
+	// (the events with IMiss set).
 	HookIMiss
 	// HookData delivers OnEvent for load and store entries.
 	HookData
@@ -572,8 +568,6 @@ func (e *Engine) Reset(cfg Config, set *workload.Set, sched Scheduler) {
 	e.cfg = cfg
 	for _, c := range e.cores {
 		id := uint64(c.ID)
-		c.L1I.OnEvict = nil // schedulers re-hook in Bind
-		c.L1D.OnEvict = nil
 		c.L1I.Reset(cfg.Seed ^ id<<8)
 		c.L1D.Reset(cfg.Seed ^ id<<16 ^ 0xD)
 		c.Clock = 0
@@ -795,39 +789,35 @@ func (e *Engine) finish(c *Core, t *Thread) {
 // step executes core c up to and including its next externally visible
 // trace entry.
 //
-// Fast path: when the scheduler ignores instruction hits and the
-// prefetcher is passive, a run of consecutive L1-I hit entries executes
-// in Stepper.HitRun without constructing events or consulting anyone.
-// Such entries touch only core-private state, so executing the whole
-// run ahead of the global clock order is exact; the run deliberately
-// stops before the trace's final entry so completion — a scheduler-
-// visible event — is still sequenced by the heap. See docs/ENGINE.md.
+// An instruction entry is looked up in the L1-I once, and that lookup
+// decides its path. A plain hit (no prefetch credit) that is not the
+// trace's final entry, on a scheduler that owes no per-hit notification
+// or whose batched observation allows it (HitRunOK), starts a hit run:
+// the hit is applied here and Stepper.HitRun continues from the next
+// entry, without constructing events or consulting anyone. Such entries
+// touch only core-private state, so executing the whole run ahead of
+// the global clock order is exact; the final entry is left for the heap
+// because completion is scheduler-visible. Any other instruction entry
+// takes the slow path on the same lookup: the victim monitor peeks the
+// set it found, and the hit or fill is applied to it. Data entries take
+// AccessBrief, as replaySolo does. See docs/ENGINE.md.
 func (e *Engine) step(c *Core) {
 	t := c.Cur
-	if e.fastHits && (!e.batchHits || e.sched.HitRunOK(c.ID)) {
-		n, entries := c.HitRun(&t.Cursor, c.phase, c.tagged, e.runPF)
-		if entries > 0 {
-			if e.tl != nil {
-				e.tl.Absorb(c.ID, t.Txn.ID, c.Clock, c.Clock+n, uint64(entries))
-			}
-			c.Clock += n // 1 IPC
-			t.Instrs += n
-			c.QInstrs += n
-			if e.batchHits {
-				e.sched.OnHitRun(c.ID, entries, n)
-			}
-			return // next entry (miss/data/last) runs when c is min again
-		}
-	}
-
 	entry := t.Cursor.Peek()
-
-	// STREX's switch-before-evict: if filling this instruction block
-	// would displace a block the scheduler still wants resident, context
-	// switch without consuming the entry — the fetch replays on resume.
-	if c.tagged && e.hooks&HookWouldEvict != 0 && entry.Kind == trace.KInstr {
-		if victimPhase, would := c.L1I.WouldEvict(entry.Block); would {
-			if e.sched.OnWouldEvict(c.ID, victimPhase) {
+	ev := Event{Entry: entry}
+	if entry.Kind == trace.KInstr {
+		l1i := c.L1I
+		var pid uint8 // phase passed to the L1-I: zero unless tagging (Touch semantics)
+		if c.tagged {
+			pid = c.phase
+		}
+		s := l1i.Lookup(entry.Block)
+		// STREX's switch-before-evict: if filling this instruction block
+		// would displace a block the scheduler still wants resident,
+		// context switch without consuming the entry — the fetch replays
+		// on resume.
+		if c.tagged && e.hooks&HookWouldEvict != 0 {
+			if victimPhase, would := l1i.WouldEvictAt(s); would && e.sched.OnWouldEvict(c.ID, victimPhase) {
 				if e.tl != nil {
 					e.tl.Quantum(c.ID, t.Txn.ID, t.Txn.Type, c.qStart, c.Clock, obs.ReasonPreempt, c.QInstrs)
 				}
@@ -839,47 +829,50 @@ func (e *Engine) step(c *Core) {
 				return
 			}
 		}
-	}
-
-	t.Cursor.Advance(1)
-	var ev Event
-	ev.Entry = entry
-	switch entry.Kind {
-	case trace.KInstr:
-		c.Clock += uint64(entry.N) // 1 IPC
-		t.Instrs += uint64(entry.N)
-		c.QInstrs += uint64(entry.N)
-		// Inlined Stepper.Exec, instruction case (the kind is already
-		// dispatched here; a second switch per entry is pure overhead).
-		var r cache.AccessResult
-		if c.tagged {
-			r = c.L1I.Touch(entry.Block, c.phase)
+		t.Cursor.Advance(1)
+		n := uint64(entry.N) // 1 IPC
+		if s.Resident() {
+			pfHit := l1i.HitAt(s, false, pid, c.tagged)
+			if !pfHit && e.fastHits && !t.Cursor.Done() && (!e.batchHits || e.sched.HitRunOK(c.ID)) {
+				if e.runPF != nil {
+					e.runPF.OnIFetch(l1i, entry.Block, true)
+				}
+				more, entries := c.HitRun(&t.Cursor, pid, c.tagged, e.runPF)
+				n += more
+				entries++
+				if e.tl != nil {
+					e.tl.Absorb(c.ID, t.Txn.ID, c.Clock, c.Clock+n, uint64(entries))
+				}
+				c.Clock += n
+				t.Instrs += n
+				c.QInstrs += n
+				if e.batchHits {
+					e.sched.OnHitRun(c.ID, entries, n)
+				}
+				return // next entry (miss/data/last) runs when c is min again
+			}
+			if pfHit {
+				// A late next-line prefetch hides most but not all latency.
+				c.Clock += uint64(e.lat.L2Hit / 2)
+			}
 		} else {
-			r = c.L1I.Access(entry.Block, false)
-		}
-		if !r.Hit {
 			ev.IMiss = true
-			lat := e.mem.FetchI(c.ID, entry.Block)
-			if !e.pfHides {
+			l1i.MissAt(s, entry.Block, false, pid)
+			if lat := e.mem.FetchI(c.ID, entry.Block); !e.pfHides {
 				c.Clock += uint64(lat)
 			}
-		} else if r.PrefetchHit {
-			// A late next-line prefetch hides most but not all latency.
-			c.Clock += uint64(e.lat.L2Hit / 2)
 		}
-		ev.IEvicted = r.Evicted
-		ev.VictimBlock = r.VictimBlock
-		ev.VictimPhase = r.VictimPhase
+		c.Clock += n
+		t.Instrs += n
+		c.QInstrs += n
 		if !e.pfPassive {
-			e.pf.OnIFetch(c.L1I, entry.Block, r.Hit)
+			e.pf.OnIFetch(l1i, entry.Block, !ev.IMiss)
 		}
-
-	case trace.KLoad, trace.KStore:
+	} else {
+		t.Cursor.Advance(1)
 		write := entry.Kind == trace.KStore
-		c.Clock++                             // address generation / pipeline slot
-		r := c.L1D.Access(entry.Block, write) // inlined Stepper.Exec, data case
-		if !r.Hit {
-			ev.DMiss = true
+		c.Clock++ // address generation / pipeline slot
+		if hit, _ := c.L1D.AccessBrief(entry.Block, write, 0, false); !hit {
 			c.Clock += uint64(e.mem.FetchD(c.ID, entry.Block, write))
 		} else if write {
 			c.Clock += uint64(e.mem.WriteHit(c.ID, entry.Block))
