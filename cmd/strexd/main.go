@@ -69,7 +69,7 @@ func main() {
 	memo := flag.Int("memo", 1024, "in-memory result memo entries (negative = disabled)")
 	maxTxns := flag.Int("max-txns", 4096, "per-job transaction limit")
 	maxSeeds := flag.Int("max-seeds", 16, "per-job replicate limit")
-	maxCores := flag.Int("max-cores", 32, "per-job simulated-core limit")
+	maxCores := flag.Int("max-cores", 32, "per-job simulated-core limit (at most 64)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for running jobs on shutdown")
 	logLevel := flag.String("log-level", "info", "structured log level (debug, info, warn, error)")
 	logFormat := flag.String("log-format", "text", "structured log format (text, json)")

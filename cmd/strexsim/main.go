@@ -58,6 +58,7 @@ import (
 	"syscall"
 
 	"strex"
+	"strex/internal/memsys"
 	"strex/internal/obs"
 	"strex/internal/profiling"
 	"strex/internal/runcache"
@@ -518,8 +519,8 @@ func parseInts(list string) ([]int, error) {
 	var out []int
 	for _, s := range strings.Split(list, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad core count %q", s)
+		if err != nil || n <= 0 || n > memsys.MaxCores {
+			return nil, fmt.Errorf("bad core count %q (want 1 to %d)", s, memsys.MaxCores)
 		}
 		out = append(out, n)
 	}

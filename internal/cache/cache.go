@@ -128,7 +128,7 @@ type Cache struct {
 	// retained and zeroed by Flush so the steady state stays
 	// allocation-free. Every tag mutation (fill, invalidate, flush)
 	// updates it in lockstep with tags.
-	loc [][]uint16
+	loc []*[1 << locPageBits]uint16
 	// freeCount tracks invalid lines per set so the miss path only scans
 	// for a free way during cold fill, never in the steady state.
 	freeCount []int32
@@ -276,12 +276,8 @@ func (s Slot) Resident() bool { return s.way >= 0 }
 // steady-state miss path never touches the tag array at all. It changes
 // nothing: the demand access is applied to the slot by HitAt or MissAt.
 func (c *Cache) Lookup(block uint32) Slot {
-	if p := block >> locPageBits; int(p) < len(c.loc) {
-		if pg := c.loc[p]; pg != nil {
-			if w := pg[block&locPageMask]; w != 0 {
-				return Slot{c.setOf(block), int(w) - 1, -1}
-			}
-		}
+	if w := c.locGet(block); w != 0 {
+		return Slot{c.setOf(block), int(w) - 1, -1}
 	}
 	s := Slot{c.setOf(block), -1, -1}
 	if c.freeCount[s.set] > 0 {
@@ -297,21 +293,28 @@ func (c *Cache) Lookup(block uint32) Slot {
 	return s
 }
 
+// locGet returns block's reverse-index entry: way+1, or 0 when absent.
+func (c *Cache) locGet(block uint32) uint16 {
+	if p := block >> locPageBits; int(p) < len(c.loc) {
+		if pg := c.loc[p]; pg != nil {
+			return pg[block&locPageMask]
+		}
+	}
+	return 0
+}
+
 // locSet records block as resident in way, growing the page store on
-// first touch of a region.
+// first touch of a region (by append, so the top level's copies stay
+// amortized as new pages are touched).
 func (c *Cache) locSet(block uint32, way int) {
 	p := int(block >> locPageBits)
 	if p >= len(c.loc) {
-		grown := make([][]uint16, p+1)
-		copy(grown, c.loc)
-		c.loc = grown
+		c.loc = append(c.loc, make([]*[1 << locPageBits]uint16, p+1-len(c.loc))...)
 	}
-	pg := c.loc[p]
-	if pg == nil {
-		pg = make([]uint16, 1<<locPageBits)
-		c.loc[p] = pg
+	if c.loc[p] == nil {
+		c.loc[p] = new([1 << locPageBits]uint16)
 	}
-	pg[block&locPageMask] = uint16(way) + 1
+	c.loc[p][block&locPageMask] = uint16(way) + 1
 }
 
 // locClear removes block from the index. The block must be resident
@@ -491,41 +494,37 @@ func (c *Cache) AccessBrief(block uint32, write bool, phaseID uint8, tagPhase bo
 		panic("cache: access to InvalidBlock")
 	}
 	c.Stats.Accesses++
-	if p := block >> locPageBits; int(p) < len(c.loc) {
-		if pg := c.loc[p]; pg != nil {
-			if w := pg[block&locPageMask]; w != 0 {
-				set := c.setOf(block)
-				way := int(w) - 1
-				c.Stats.Hits++
-				if c.hasPF || write || tagPhase {
-					idx := set*c.ways + way
-					m := c.meta[idx]
-					nm := m
-					if nm&metaPF != 0 {
-						nm &^= metaPF
-						c.Stats.PrefetchHits++
-						pfHit = true
-					}
-					if write {
-						nm |= metaDirty
-					}
-					if tagPhase {
-						nm = nm&0x00FF | uint16(phaseID)<<8
-					}
-					if nm != m {
-						c.meta[idx] = nm
-					}
-				}
-				if c.mat != nil {
-					c.mat.promote(set, way)
-				} else if c.mat16 != nil {
-					c.mat16.promote(set, way)
-				} else {
-					c.pol.onHit(set, way)
-				}
-				return true, pfHit
+	if w := c.locGet(block); w != 0 {
+		set := c.setOf(block)
+		way := int(w) - 1
+		c.Stats.Hits++
+		if c.hasPF || write || tagPhase {
+			idx := set*c.ways + way
+			m := c.meta[idx]
+			nm := m
+			if nm&metaPF != 0 {
+				nm &^= metaPF
+				c.Stats.PrefetchHits++
+				pfHit = true
+			}
+			if write {
+				nm |= metaDirty
+			}
+			if tagPhase {
+				nm = nm&0x00FF | uint16(phaseID)<<8
+			}
+			if nm != m {
+				c.meta[idx] = nm
 			}
 		}
+		if c.mat != nil {
+			c.mat.promote(set, way)
+		} else if c.mat16 != nil {
+			c.mat16.promote(set, way)
+		} else {
+			c.pol.onHit(set, way)
+		}
+		return true, pfHit
 	}
 	set := c.setOf(block)
 	c.Stats.Misses++
@@ -568,11 +567,10 @@ func (c *Cache) indexOf(block uint32) (int, bool) {
 	return s.set*c.ways + s.way, s.Resident()
 }
 
-// Contains reports whether block is resident. It does not disturb
-// replacement state (probes are free, as a coherence snoop would be).
-func (c *Cache) Contains(block uint32) bool {
-	return c.Lookup(block).Resident()
-}
+// Contains reports whether block is resident, from the reverse index
+// alone. It does not disturb replacement state (probes are free, as a
+// coherence snoop would be).
+func (c *Cache) Contains(block uint32) bool { return c.locGet(block) != 0 }
 
 // WouldEvict reports what a fill of block would displace, without
 // performing the fill or disturbing replacement state. would is false
@@ -631,7 +629,7 @@ func (c *Cache) Flush() {
 	}
 	for _, pg := range c.loc {
 		if pg != nil {
-			clear(pg)
+			clear(pg[:])
 		}
 	}
 	for i := range c.freeCount {

@@ -142,3 +142,44 @@ func checkVictim(t *testing.T, op int, before, after []residentLine, peek uint8)
 		t.Fatalf("op %d: peeked victim phase %d, but the fill displaced %v", op, peek, gone)
 	}
 }
+
+// TestContainsMatchesLookup drives a random stream of fills,
+// prefetches and invalidations and, after every operation, probes a
+// random block: Contains, which reads only the reverse index, must
+// agree with Lookup's residency. Probes also reach pages the stream
+// never touches and blocks beyond the index's top level.
+func TestContainsMatchesLookup(t *testing.T) {
+	c := New(Config{SizeBytes: 4 << 10, BlockBytes: 64, Ways: 8, Policy: LRU, Seed: 3})
+	lines := c.Blocks()
+	base := uint32(1<<locPageBits - lines)
+	rng := xrand.New(11)
+	resident := 0
+	for i := 0; i < 20000; i++ {
+		block := base + uint32(rng.Intn(3*lines))
+		switch rng.Intn(6) {
+		case 0:
+			c.InsertPrefetch(block)
+		case 1:
+			c.Invalidate(block)
+		default:
+			c.Access(block, false)
+		}
+		probe := base + uint32(rng.Intn(3*lines))
+		switch rng.Intn(4) {
+		case 0:
+			probe = uint32(rng.Intn(1 << 30)) // mostly untouched pages
+		case 1:
+			probe = block
+		}
+		got, want := c.Contains(probe), c.Lookup(probe).Resident()
+		if got != want {
+			t.Fatalf("op %d: Contains(%d) = %v, Lookup residency %v", i, probe, got, want)
+		}
+		if got {
+			resident++
+		}
+	}
+	if resident == 0 {
+		t.Fatal("no probe found a resident block")
+	}
+}

@@ -87,13 +87,17 @@ type Hierarchy struct {
 	Stats Stats
 }
 
+// MaxCores is the most cores a hierarchy models: a directory presence
+// mask is a uint64 with one bit per core.
+const MaxCores = 64
+
 // dirPageBits sizes directory pages at 4096 entries (32KB) each.
 const dirPageBits = 12
 
 // dirTable is the paged presence-bit store. The zero mask means "no
 // sharers", exactly like an absent key in the map it replaces.
 type dirTable struct {
-	pages [][]uint64 // indexed by block >> dirPageBits; nil = all zero
+	pages []*[1 << dirPageBits]uint64 // indexed by block >> dirPageBits; nil = all zero
 }
 
 func (d *dirTable) get(block uint32) uint64 {
@@ -104,16 +108,15 @@ func (d *dirTable) get(block uint32) uint64 {
 	return d.pages[p][block&(1<<dirPageBits-1)]
 }
 
-// ref returns the writable mask word for block, allocating its page.
+// ref returns the writable mask word for block, allocating its page
+// (the top level grows by append, so its copies stay amortized).
 func (d *dirTable) ref(block uint32) *uint64 {
 	p := int(block >> dirPageBits)
 	if p >= len(d.pages) {
-		grown := make([][]uint64, p+1)
-		copy(grown, d.pages)
-		d.pages = grown
+		d.pages = append(d.pages, make([]*[1 << dirPageBits]uint64, p+1-len(d.pages))...)
 	}
 	if d.pages[p] == nil {
-		d.pages[p] = make([]uint64, 1<<dirPageBits)
+		d.pages[p] = new([1 << dirPageBits]uint64)
 	}
 	return &d.pages[p][block&(1<<dirPageBits-1)]
 }
@@ -130,8 +133,8 @@ type Stats struct {
 // New builds the shared hierarchy. l1ds must hold one L1-D per core and
 // is used for coherence invalidations; pass the slice before running.
 func New(cfg Config) *Hierarchy {
-	if cfg.Cores <= 0 {
-		panic("memsys: need at least one core")
+	if cfg.Cores <= 0 || cfg.Cores > MaxCores {
+		panic(fmt.Sprintf("memsys: %d cores outside [1, %d]", cfg.Cores, MaxCores))
 	}
 	total := cfg.L2SliceKB * 1024 * cfg.Cores
 	l2 := cache.New(cache.Config{
@@ -173,7 +176,7 @@ func (h *Hierarchy) Reset(seed uint64) {
 	h.l2.Reset(seed ^ 0x12)
 	for _, pg := range h.dir.pages {
 		if pg != nil {
-			clear(pg)
+			clear(pg[:])
 		}
 	}
 	h.Stats = Stats{}

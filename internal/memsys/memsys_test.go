@@ -166,3 +166,25 @@ func TestSliceInterleaving(t *testing.T) {
 		t.Fatalf("blocks map to %d slices, want 4", len(seen))
 	}
 }
+
+// TestMaxCores: a presence mask has one bit per core, so 64 cores is the
+// limit. At 64 the last core's copy is invalidated like any other; 65
+// cores must be refused, or core 64's bit would shift out to zero.
+func TestMaxCores(t *testing.T) {
+	h := newH(MaxCores)
+	blk := uint32(42)
+	last := MaxCores - 1
+	h.l1(last).Access(blk, false)
+	h.FetchD(last, blk, false)
+	h.l1(0).Access(blk, true)
+	h.FetchD(0, blk, true)
+	if h.l1(last).Contains(blk) {
+		t.Fatalf("core %d still holds the block after core 0 wrote it", last)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted %d cores", MaxCores+1)
+		}
+	}()
+	newH(MaxCores + 1)
+}

@@ -88,23 +88,17 @@ type sliccState struct {
 	cool       int
 }
 
-// pushMiss appends block to the missed-tag ring, dropping the oldest
-// entry when the queue is at qlen.
+// pushMiss appends block to the missed-tag ring, overwriting the oldest
+// entry once the queue holds qlen. The head moves only while the ring
+// is full, so the queued tags are always missQ[:missLen].
 func (st *sliccState) pushMiss(block uint32, qlen int) {
-	if st.missLen == qlen {
-		st.missQ[st.missHead] = block
-		st.missHead = (st.missHead + 1) % qlen
+	if st.missLen < qlen {
+		st.missQ[st.missLen] = block
+		st.missLen++
 		return
 	}
-	st.missQ[(st.missHead+st.missLen)%qlen] = block
-	st.missLen++
-}
-
-// eachMiss invokes fn for each queued tag, oldest first.
-func (st *sliccState) eachMiss(qlen int, fn func(block uint32)) {
-	for i := 0; i < st.missLen; i++ {
-		fn(st.missQ[(st.missHead+i)%qlen])
-	}
+	st.missQ[st.missHead] = block
+	st.missHead = (st.missHead + 1) % qlen
 }
 
 // NewSlicc returns the scheduler with defaults matched to the paper's
@@ -283,11 +277,11 @@ func (s *Slicc) OnEvent(coreID int, ev sim.Event) (sim.Action, int) {
 		}
 		score := 0
 		l1i := s.e.Core(c).L1I
-		st.eachMiss(s.missQLen, func(b uint32) {
+		for _, b := range st.missQ[:st.missLen] {
 			if l1i.Contains(b) { // read-only snoop: no stats, no LRU disturbance
 				score++
 			}
-		})
+		}
 		if score > bestScore {
 			best, bestScore = c, score
 		}

@@ -627,6 +627,19 @@ func TestSpecIdentity(t *testing.T) {
 	}
 }
 
+// TestSpecCoreLimit: Limits clamps MaxCores to the 64 cores a
+// directory presence mask holds, so a limit set higher still refuses a
+// 65-core spec.
+func TestSpecCoreLimit(t *testing.T) {
+	lim := Limits{MaxCores: 1000}
+	for cores, ok := range map[int]bool{64: true, 65: false} {
+		s := JobSpec{Workload: "tatp", Cores: cores}
+		if err := s.normalize(lim); (err == nil) != ok {
+			t.Errorf("cores %d: normalize error %v", cores, err)
+		}
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{Parallel: 1})
 	for _, body := range []string{

@@ -11,6 +11,7 @@ import (
 	"strex/internal/arrival"
 	"strex/internal/bench"
 	"strex/internal/cache"
+	"strex/internal/memsys"
 )
 
 // JobSpec is the wire shape of one submission: a workload selection
@@ -83,7 +84,7 @@ type JobSpec struct {
 type Limits struct {
 	MaxTxns  int // max transactions per replicate (default 4096)
 	MaxSeeds int // max replicates per job (default 16)
-	MaxCores int // max simulated cores (default 32)
+	MaxCores int // max simulated cores (default 32, at most memsys.MaxCores)
 }
 
 func (l *Limits) fill() {
@@ -96,6 +97,7 @@ func (l *Limits) fill() {
 	if l.MaxCores <= 0 {
 		l.MaxCores = 32
 	}
+	l.MaxCores = min(l.MaxCores, memsys.MaxCores)
 }
 
 // normalize resolves aliases and applies defaults in place, then

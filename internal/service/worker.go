@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"strex/internal/memsys"
 	"strex/internal/obs"
 	"strex/internal/runcache"
 	"strex/internal/runner"
@@ -147,6 +148,11 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&ws); err != nil {
 		wk.badSpecs.Add(1)
 		writeError(w, http.StatusBadRequest, "bad wire spec: "+err.Error())
+		return
+	}
+	if c := ws.Config.Cores; c < 1 || c > memsys.MaxCores {
+		wk.badSpecs.Add(1)
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("cores %d out of range [1, %d]", c, memsys.MaxCores))
 		return
 	}
 	wk.runs.Add(1)

@@ -54,3 +54,31 @@ func TestWorkerRejectsUnknownFields(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRejectsCoreCountsOutOfRange: the run RPC passes its config
+// straight to the engine, so it checks the core count first: 64 runs,
+// while 0 and 65 get a 400.
+func TestWorkerRejectsCoreCountsOutOfRange(t *testing.T) {
+	hs := httptest.NewServer(NewWorker(WorkerConfig{Parallel: 1}).Handler())
+	defer hs.Close()
+	for _, tc := range []struct{ cores, want int }{{64, http.StatusOK}, {0, http.StatusBadRequest}, {65, http.StatusBadRequest}} {
+		cfg := sim.DefaultConfig(tc.cores)
+		cfg.Mem.L2SliceKB = 16 // keep the 64-core L2 small
+		body, err := json.Marshal(shard.WireSpec{
+			Config:  cfg,
+			SchedID: "base",
+			Set:     shard.SetRef{Workload: "SmallBank", Seed: 9, Txns: 8, TypeID: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("cores %d: status %d, want %d", tc.cores, resp.StatusCode, tc.want)
+		}
+	}
+}

@@ -19,16 +19,16 @@ import (
 func (e *Engine) RunReference() Result {
 	for e.live > 0 {
 		if e.arr != nil {
+			// Scan for the time frontier (the maximum core clock).
+			var now uint64
 			busy := false
 			for _, c := range e.cores {
-				if c.Cur != nil {
-					busy = true
-					break
-				}
+				now = max(now, c.Clock)
+				busy = busy || c.Cur != nil
 			}
-			e.admitArrivals(busy)
+			e.admitArrivals(now, busy)
 		}
-		// Offer work to idle cores.
+		// Offer work to every idle core, every step.
 		for _, c := range e.cores {
 			if c.Cur == nil {
 				if t := e.sched.Dispatch(c.ID); t != nil {

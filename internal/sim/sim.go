@@ -173,7 +173,15 @@ type Scheduler interface {
 	// skips every hook the mask omits, so the mask must be honest: a
 	// cleared bit promises the corresponding hook is inert.
 	Hooks() HookMask
-	// Dispatch returns the next thread for an idle core, or nil.
+	// Dispatch returns the next thread for an idle core, or nil. Run
+	// offers the idle cores, in ascending ID order, only at the start,
+	// after a core ends its quantum (yield, migration or completion),
+	// after admission grows the pending queue, and after a round that
+	// placed a thread. So a scheduler must keep this contract: a round
+	// of offers that places no thread, repeated before any of those
+	// events, places nothing and changes no state a later offer reads.
+	// RunReference offers every idle core on every step, so a scheduler
+	// that breaks the contract diverges from it.
 	Dispatch(core int) *Thread
 	// Phase returns the phaseID to tag instruction blocks with, and
 	// whether tagging is enabled on this core (STREX only). The engine
@@ -287,9 +295,12 @@ type Engine struct {
 	// heap holds the busy cores as a min-heap on (Clock, ID) — the
 	// lowest core ID wins clock ties, matching the reference selector's
 	// ascending scan. idle holds the rest in ascending ID order (the
-	// dispatch-offer order).
-	heap []*Core
-	idle []*Core
+	// dispatch-offer order). frontier is the machine's time frontier,
+	// the maximum core clock, which Run raises after each step and
+	// install.
+	heap     []heapEntry
+	idle     []*Core
+	frontier uint64
 
 	// Per-run capability snapshot (taken at the top of Run).
 	hooks     HookMask
@@ -400,30 +411,23 @@ func (e *Engine) SetArrivals(clocks []uint64) {
 	e.pending = e.pending[:0]
 }
 
-// admitArrivals is the per-iteration open-loop admission step shared
-// by Run, runSolo and RunReference. Every thread whose arrival clock
-// has been reached by the machine's time frontier — the maximum core
-// clock, a pure function of machine state, so all three execution
-// loops admit identically at equivalent states regardless of their
-// step granularity — joins the pending queue. When no core is busy
-// and nothing is pending, the machine is idle-waiting: time jumps to
-// the next arrival so at least one thread becomes dispatchable.
-// pending was preallocated at full capacity by prepare, so admission
-// never allocates (the zero-alloc steady state holds).
-func (e *Engine) admitArrivals(busy bool) {
-	if e.arrNext >= len(e.arr) {
-		return
-	}
-	now := e.cores[0].Clock
-	for _, c := range e.cores[1:] {
-		if c.Clock > now {
-			now = c.Clock
-		}
-	}
+// admitArrivals is the open-loop admission step shared by Run, runSolo
+// and RunReference. Every thread whose arrival clock has been reached
+// by now, the machine's time frontier (the maximum core clock), joins
+// the pending queue. Run's hit runs stop short of the next arrival, so
+// the frontier reaches it at the same point of the global clock order
+// in every loop. When no core is busy and nothing is pending, the
+// machine is idle-waiting: time jumps to the next arrival so at least
+// one thread becomes dispatchable. It reports whether the pending queue
+// grew. pending was preallocated at full capacity by prepare, so
+// admission never allocates (the zero-alloc steady state holds).
+func (e *Engine) admitArrivals(now uint64, busy bool) bool {
+	n := len(e.pending)
 	e.admit(now)
 	if !busy && len(e.pending) == 0 && e.arrNext < len(e.arr) {
 		e.admit(e.arr[e.arrNext])
 	}
+	return len(e.pending) > n
 }
 
 // admit moves every thread that has arrived by cycle now from the
@@ -472,8 +476,8 @@ func (e *Engine) stopNow() bool {
 
 // New builds an engine for the given workload set and scheduler.
 func New(cfg Config, set *workload.Set, sched Scheduler) *Engine {
-	if cfg.Cores <= 0 {
-		panic("sim: need at least one core")
+	if cfg.Cores <= 0 || cfg.Cores > memsys.MaxCores {
+		panic(fmt.Sprintf("sim: %d cores outside [1, %d]", cfg.Cores, memsys.MaxCores))
 	}
 	cfg = normalize(cfg)
 	e := &Engine{
@@ -526,9 +530,13 @@ func (c Config) Geometry() Config {
 // queues, idle list — and binds the scheduler. Shared by New and Reset.
 func (e *Engine) prepare(set *workload.Set, sched Scheduler) {
 	e.sched = sched
+	if cap(e.heap) < len(e.cores) {
+		e.heap = make([]heapEntry, 0, len(e.cores))
+	}
 	e.heap = e.heap[:0]
 	e.idle = e.idle[:0]
 	e.idle = append(e.idle, e.cores...) // every core starts idle, ID order
+	e.frontier = 0
 	n := len(set.Txns)
 	if cap(e.threadArena) < n {
 		e.threadArena = make([]Thread, n)
@@ -617,50 +625,61 @@ func (e *Engine) TakePending(t *Thread) {
 
 // --- busy-core min-heap ----------------------------------------------------
 
-// coreLess orders the heap: earliest clock first, lowest core ID on
-// ties. The tie-break reproduces the reference selector's ascending
-// scan with strict less-than, which keeps the first (lowest-ID) core
-// among equals — same-seed runs stay byte-identical.
-func coreLess(a, b *Core) bool {
-	return a.Clock < b.Clock || (a.Clock == b.Clock && a.ID < b.ID)
+// heapEntry is a busy core's place in the heap: its clock beside its
+// ID, so a sift compares entries without loading a Core. Run writes
+// the root's clock back after each step.
+type heapEntry struct {
+	clock uint64
+	id    int
+}
+
+// less orders the heap: earliest clock first, lowest core ID on ties.
+// The tie-break reproduces the reference selector's ascending scan with
+// strict less-than, which keeps the first (lowest-ID) core among equals
+// — same-seed runs stay byte-identical.
+func (a heapEntry) less(b heapEntry) bool {
+	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
 }
 
 func (e *Engine) heapPush(c *Core) {
-	e.heap = append(e.heap, c)
-	i := len(e.heap) - 1
+	h := append(e.heap, heapEntry{c.Clock, c.ID})
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !coreLess(e.heap[i], e.heap[parent]) {
+		if !h[i].less(h[parent]) {
 			break
 		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
+	e.heap = h
 }
 
+// heapSiftDown moves entry i down to its place, lifting the smaller
+// child into the hole at each level and writing the entry once.
 func (e *Engine) heapSiftDown(i int) {
-	n := len(e.heap)
+	h := e.heap
+	x := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && coreLess(e.heap[l], e.heap[min]) {
-			min = l
+		m := 2*i + 1
+		if m >= len(h) {
+			break
 		}
-		if r < n && coreLess(e.heap[r], e.heap[min]) {
-			min = r
+		if r := m + 1; r < len(h) && h[r].less(h[m]) {
+			m = r
 		}
-		if min == i {
-			return
+		if !h[m].less(x) {
+			break
 		}
-		e.heap[i], e.heap[min] = e.heap[min], e.heap[i]
-		i = min
+		h[i] = h[m]
+		i = m
 	}
+	h[i] = x
 }
 
 func (e *Engine) heapPopRoot() {
 	n := len(e.heap) - 1
 	e.heap[0] = e.heap[n]
-	e.heap[n] = nil
 	e.heap = e.heap[:n]
 	if n > 0 {
 		e.heapSiftDown(0)
@@ -679,21 +698,23 @@ func (e *Engine) idleAdd(c *Core) {
 }
 
 // dispatchIdle offers every idle core (ascending ID) to the scheduler,
-// installing and heap-pushing the threads it returns. Cores left
-// without work stay idle and are re-offered after the next step — the
-// same offer pattern as the reference selector, so the scheduler sees
-// an identical Dispatch call sequence.
-func (e *Engine) dispatchIdle() {
+// installing and heap-pushing the threads it returns, and reports
+// whether it placed any. Cores left without work stay idle until Run
+// arms the next round of offers (see Scheduler.Dispatch).
+func (e *Engine) dispatchIdle() bool {
 	kept := e.idle[:0]
 	for _, c := range e.idle {
 		if t := e.sched.Dispatch(c.ID); t != nil {
 			e.install(c, t)
+			e.frontier = max(e.frontier, c.Clock)
 			e.heapPush(c)
 		} else {
 			kept = append(kept, c)
 		}
 	}
+	placed := len(kept) < len(e.idle)
 	e.idle = kept
+	return placed
 }
 
 // Run executes the workload to completion and returns the result.
@@ -701,7 +722,10 @@ func (e *Engine) dispatchIdle() {
 // The loop is event-driven: the min-heap yields the lagging busy core
 // in O(log cores), the core executes until its next externally visible
 // event (hit runs collapse into one step), and only then re-enters the
-// heap. Output is byte-identical to RunReference at the same seed.
+// heap. Idle cores are offered only when an offer's outcome can have
+// changed (see Scheduler.Dispatch), and open-loop admission compares
+// the next arrival with the frontier field. Output is byte-identical
+// to RunReference at the same seed.
 func (e *Engine) Run() Result {
 	e.stopped = false
 	e.hooks = e.sched.Hooks()
@@ -725,37 +749,44 @@ func (e *Engine) Run() Result {
 		e.runSolo()
 		return e.collect()
 	}
+	offer := true // the first round offers every core
 	for e.live > 0 {
 		if e.stopRequested() {
 			e.stopped = true
 			break
 		}
-		if e.arr != nil {
-			e.admitArrivals(len(e.heap) > 0)
+		// Admission is due once the frontier reaches the next arrival,
+		// or when a drained machine must jump to it.
+		if e.arrNext < len(e.arr) && (e.arr[e.arrNext] <= e.frontier || len(e.heap) == 0 && len(e.pending) == 0) {
+			if e.admitArrivals(e.frontier, len(e.heap) > 0) {
+				offer = true
+			}
 		}
-		if len(e.idle) > 0 {
-			e.dispatchIdle()
+		if offer {
+			offer = len(e.idle) > 0 && e.dispatchIdle()
 		}
 		if len(e.heap) == 0 {
 			panic("sim: live threads but no runnable core (scheduler dropped a thread)")
 		}
-		c := e.heap[0]
-		before := c.Clock
+		root := &e.heap[0]
+		c := e.cores[root.id]
 		e.step(c)
-		e.busyCycles += c.Clock - before
+		e.busyCycles += c.Clock - root.clock
+		e.frontier = max(e.frontier, c.Clock)
 		if c.Cur != nil {
+			root.clock = c.Clock
 			e.heapSiftDown(0) // clock advanced; ID unchanged
 		} else {
 			e.heapPopRoot()
 			e.idleAdd(c)
+			offer = true // a yield, migration or completion re-arms the offers
 		}
 	}
 	if e.stopped && e.tl != nil {
 		// Close the open quanta so an interrupted trace still renders.
-		for _, c := range e.heap {
-			if t := c.Cur; t != nil {
-				e.tl.Quantum(c.ID, t.Txn.ID, t.Txn.Type, c.qStart, c.Clock, obs.ReasonStop, c.QInstrs)
-			}
+		for _, h := range e.heap {
+			c := e.cores[h.id]
+			e.tl.Quantum(c.ID, c.Cur.Txn.ID, c.Cur.Txn.Type, c.qStart, c.Clock, obs.ReasonStop, c.QInstrs)
 		}
 	}
 	return e.collect()
@@ -797,7 +828,9 @@ func (e *Engine) finish(c *Core, t *Thread) {
 // entry, without constructing events or consulting anyone. Such entries
 // touch only core-private state, so executing the whole run ahead of
 // the global clock order is exact; the final entry is left for the heap
-// because completion is scheduler-visible. Any other instruction entry
+// because completion is scheduler-visible, and so is an entry that
+// would carry the clock to the next open-loop arrival, because reaching
+// it admits a thread. Any other instruction entry
 // takes the slow path on the same lookup: the victim monitor peeks the
 // set it found, and the hit or fill is applied to it. Data entries take
 // AccessBrief, as replaySolo does. See docs/ENGINE.md.
@@ -837,7 +870,11 @@ func (e *Engine) step(c *Core) {
 				if e.runPF != nil {
 					e.runPF.OnIFetch(l1i, entry.Block, true)
 				}
-				more, entries := c.HitRun(&t.Cursor, pid, c.tagged, e.runPF)
+				budget := ^uint64(0) // cycles the run may retire before the next arrival
+				if e.arrNext < len(e.arr) {
+					budget = max(e.arr[e.arrNext], c.Clock+n) - (c.Clock + n)
+				}
+				more, entries := c.HitRun(&t.Cursor, pid, c.tagged, e.runPF, budget)
 				n += more
 				entries++
 				if e.tl != nil {
@@ -946,7 +983,7 @@ func (e *Engine) runSolo() {
 			return
 		}
 		if e.arr != nil {
-			e.admitArrivals(c.Cur != nil)
+			e.admitArrivals(c.Clock, c.Cur != nil)
 		}
 		if c.Cur == nil {
 			t := e.sched.Dispatch(c.ID)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"strex/internal/codegen"
+	"strex/internal/memsys"
 	"strex/internal/trace"
 	"strex/internal/workload"
 )
@@ -231,5 +232,22 @@ func TestMPKIMetrics(t *testing.T) {
 	var zero Stats
 	if zero.IMPKI() != 0 || zero.DMPKI() != 0 {
 		t.Fatal("zero stats should give zero MPKI")
+	}
+}
+
+// TestMaxCores: an engine takes up to memsys.MaxCores cores and refuses
+// one more.
+func TestMaxCores(t *testing.T) {
+	for _, cores := range []int{memsys.MaxCores, memsys.MaxCores + 1} {
+		cfg := DefaultConfig(cores)
+		cfg.Mem.L2SliceKB = 16 // keep the shared L2 small
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (cores > memsys.MaxCores) {
+					t.Errorf("New with %d cores: panic %v", cores, r)
+				}
+			}()
+			New(cfg, tinySet(2, 4), &fifoSched{}).Run()
+		}()
 	}
 }

@@ -50,7 +50,9 @@ func (s Stepper) Exec(e trace.Entry, phaseID uint8, tagPhase bool) cache.AccessR
 // caller's slow path. The run also always leaves the trace's final
 // entry unconsumed: completing a thread is a scheduler-visible event,
 // so the CMP engine must sequence it against the other cores' clocks
-// rather than run it ahead of order.
+// rather than run it ahead of order. For the same reason it stops
+// before an entry that would bring its instructions to budget or more
+// (the engine's cycles left before the next open-loop arrival).
 //
 // Exactness: an instruction hit reads and promotes a line in a private
 // cache and advances private retirement counters — and a prefetcher's
@@ -63,13 +65,13 @@ func (s Stepper) Exec(e trace.Entry, phaseID uint8, tagPhase bool) cache.AccessR
 // contents (HookRemoteCaches), in which case prefetch mutations must
 // stay in order and the engine passes pf=nil or disables the run. See
 // docs/ENGINE.md for the full argument.
-func (s Stepper) HitRun(cur *trace.Cursor, phaseID uint8, tagPhase bool, pf prefetch.Prefetcher) (instrs uint64, entries int) {
+func (s Stepper) HitRun(cur *trace.Cursor, phaseID uint8, tagPhase bool, pf prefetch.Prefetcher, budget uint64) (instrs uint64, entries int) {
 	l1i := s.L1I
 	rest := cur.Rest()
 	n := 0
 	for n < len(rest)-1 {
 		e := rest[n]
-		if e.Kind != trace.KInstr || !l1i.AccessHit(e.Block, phaseID, tagPhase) {
+		if e.Kind != trace.KInstr || instrs+uint64(e.N) >= budget || !l1i.AccessHit(e.Block, phaseID, tagPhase) {
 			break
 		}
 		instrs += uint64(e.N)

@@ -12,8 +12,9 @@ package strex
 //
 //  2. At finite rates, Run and RunReference stay step-for-step
 //     equivalent: admission is a pure function of the machine's time
-//     frontier, so the production loop and the retained oracle admit
-//     identically no matter how coarsely each one advances the clock.
+//     frontier, and Run's hit runs stop short of the next arrival, so
+//     the production loop and the retained oracle admit at the same
+//     point of the global clock order.
 
 import (
 	"reflect"

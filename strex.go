@@ -8,6 +8,7 @@ import (
 	"strex/internal/bench"
 	"strex/internal/cache"
 	"strex/internal/core"
+	"strex/internal/memsys"
 	"strex/internal/obs"
 	"strex/internal/prefetch"
 	"strex/internal/runcache"
@@ -102,8 +103,8 @@ func DefaultConfig(n int) Config {
 }
 
 func (c Config) build() (sim.Config, error) {
-	if c.Cores <= 0 {
-		return sim.Config{}, fmt.Errorf("strex: Cores must be positive, got %d", c.Cores)
+	if c.Cores <= 0 || c.Cores > memsys.MaxCores {
+		return sim.Config{}, fmt.Errorf("strex: Cores must be in [1, %d], got %d", memsys.MaxCores, c.Cores)
 	}
 	cfg := sim.DefaultConfig(c.Cores)
 	if c.L1IKB > 0 {

@@ -98,6 +98,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(DefaultConfig(2), w, SchedulerKind(99)); err == nil {
 		t.Fatal("accepted unknown scheduler")
 	}
+	// Directory presence masks hold 64 cores.
+	if _, err := DefaultConfig(64).build(); err != nil {
+		t.Fatalf("refused 64 cores: %v", err)
+	}
+	if _, err := Run(DefaultConfig(65), w, SchedBaseline); err == nil {
+		t.Fatal("accepted 65 cores")
+	}
 }
 
 func TestPrefetcherOptions(t *testing.T) {
