@@ -137,12 +137,10 @@ func summarize(set *workload.Set, dump bool) {
 
 // printInfo reads only the header — O(1) in the payload size.
 func printInfo(path string) error {
-	r, err := tracefile.Open(path)
+	m, err := tracefile.Open(path)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
-	m := r.Meta()
 	fmt.Printf("file          %s\n", path)
 	fmt.Printf("format        strextrace v%d\n", m.FormatVersion)
 	fmt.Printf("workload      %s (seed %d, scale %d)\n", m.Provenance.Workload, m.Provenance.Seed, m.Provenance.Scale)

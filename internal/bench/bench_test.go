@@ -140,6 +140,25 @@ func TestEveryWorkloadIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratedTracesAreExactSize: every generator stores each trace at
+// its final length (trace.Buffer.Clone of a reused scratch buffer), with
+// no append-doubling slack, for mixed and typed sets alike.
+func TestGeneratedTracesAreExactSize(t *testing.T) {
+	for _, name := range Names() {
+		g, err := Build(name, Options{Seed: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, set := range []*workload.Set{g.Generate(6), g.GenerateTyped(0, 2)} {
+			for _, tx := range set.Txns {
+				if n, c := len(tx.Trace.Entries), cap(tx.Trace.Entries); n != c {
+					t.Errorf("%s txn %d: %d entries in a buffer of capacity %d", name, tx.ID, n, c)
+				}
+			}
+		}
+	}
+}
+
 // TestSeedZeroIsARealSeed pins the registry's seed contract: unlike
 // Config.Seed (where 0 falls back to the default), workload seeds are
 // used verbatim.

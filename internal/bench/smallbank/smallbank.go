@@ -187,15 +187,16 @@ func (w *Workload) generate(n int, pick func() int) *workload.Set {
 		Types:  w.TypeNames(),
 		Layout: w.db.Layout,
 	}
+	var scratch trace.Buffer
 	for i := 0; i < n; i++ {
 		typ := pick()
-		buf := &trace.Buffer{}
-		w.run(typ, uint64(i)+w.cfg.Seed<<20, buf)
+		scratch.Reset()
+		w.run(typ, uint64(i)+w.cfg.Seed<<20, &scratch)
 		set.Txns = append(set.Txns, &workload.Txn{
 			ID:     i,
 			Type:   typ,
 			Header: w.db.Layout.Func(w.stmts.root[typ]).Base,
-			Trace:  buf,
+			Trace:  scratch.Clone(),
 		})
 	}
 	set.DataBlocks = w.db.DataBlocks()

@@ -149,14 +149,15 @@ func (w *Workload) generate(n int) *workload.Set {
 		Types:  w.TypeNames(),
 		Layout: w.db.Layout,
 	}
+	var scratch trace.Buffer
 	for i := 0; i < n; i++ {
-		buf := &trace.Buffer{}
-		w.run(uint64(i)+w.cfg.Seed<<20, buf)
+		scratch.Reset()
+		w.run(uint64(i)+w.cfg.Seed<<20, &scratch)
 		set.Txns = append(set.Txns, &workload.Txn{
 			ID:     i,
 			Type:   TVote,
 			Header: w.db.Layout.Func(w.stmts.root).Base,
-			Trace:  buf,
+			Trace:  scratch.Clone(),
 		})
 	}
 	set.DataBlocks = w.db.DataBlocks()

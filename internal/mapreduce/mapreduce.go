@@ -112,10 +112,11 @@ func (w *Workload) generate(n int, pick func(int) int) *workload.Set {
 		Types:  w.TypeNames(),
 		Layout: w.layout,
 	}
+	var scratch trace.Buffer
 	for i := 0; i < n; i++ {
 		typ := pick(i)
-		buf := &trace.Buffer{}
-		w.runTask(typ, uint64(i), buf)
+		scratch.Reset()
+		w.runTask(typ, uint64(i), &scratch)
 		root := w.mapRoot
 		if typ == TReduce {
 			root = w.redRoot
@@ -124,7 +125,7 @@ func (w *Workload) generate(n int, pick func(int) int) *workload.Set {
 			ID:     i,
 			Type:   typ,
 			Header: w.layout.Func(root).Base,
-			Trace:  buf,
+			Trace:  scratch.Clone(),
 		})
 	}
 	set.DataBlocks = int(w.nextInput - codegen.DataBase)

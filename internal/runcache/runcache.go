@@ -1,8 +1,9 @@
 // Package runcache is the content-addressed on-disk store that makes
 // repeated experiment sweeps bound by simulation instead of generation:
 // it memoizes generated workload sets (as .strextrace artifacts, see
-// internal/tracefile) and completed run results (as JSON records) under
-// stable hashes of everything that determines their content.
+// internal/tracefile) and completed run results (as checksummed binary
+// records, see record.go) under stable hashes of everything that
+// determines their content.
 //
 // Keying discipline. A set is a pure function of (workload name, seed,
 // scale, transaction count, generator parameters) — SetKey captures
@@ -18,13 +19,15 @@
 // Layout on disk:
 //
 //	<dir>/traces/<hh>/<hash>.strextrace   memoized workload sets
-//	<dir>/results/<hh>/<hash>.json        memoized run records
+//	<dir>/results/<hh>/<hash>.rec         memoized run records
 //
 // where <hh> is the first two hex digits of the hash (fan-out keeps
 // directories small). All writes are atomic (temp file + rename), so a
 // cache directory may be shared by concurrent runs; readers only ever
-// observe complete artifacts, and the trace CRC rejects torn files that
-// slipped past rename atomicity (e.g. on crash-prone filesystems).
+// observe complete artifacts, and the trace and record CRCs reject torn
+// or bit-flipped files that slipped past rename atomicity (e.g. on
+// crash-prone filesystems). Such a file reads as a miss, counted in
+// Stats as corrupt, and the re-run overwrites it.
 //
 // A nil *Cache is valid and means "caching disabled": every method is
 // nil-receiver-safe, so callers thread the knob through without
@@ -34,7 +37,6 @@ package runcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -69,6 +71,10 @@ func DefaultDir() string {
 type Stats struct {
 	TraceHits, TraceMisses   int64
 	ResultHits, ResultMisses int64
+	// TraceCorrupt and ResultCorrupt count the misses whose artifact
+	// existed but failed to read or decode (a torn file, a flipped
+	// bit, a stale format), apart from those where it was absent.
+	TraceCorrupt, ResultCorrupt int64
 	// BytesRead is the artifact volume served by hits; BytesWritten the
 	// volume stored. Together with the hit counters they answer the
 	// operational question "is this cache earning its disk": a warm
@@ -81,9 +87,10 @@ type Stats struct {
 type Cache struct {
 	dir string
 
-	traceHits, traceMisses   atomic.Int64
-	resultHits, resultMisses atomic.Int64
-	bytesRead, bytesWritten  atomic.Int64
+	traceHits, traceMisses      atomic.Int64
+	resultHits, resultMisses    atomic.Int64
+	traceCorrupt, resultCorrupt atomic.Int64
+	bytesRead, bytesWritten     atomic.Int64
 }
 
 // Open returns a cache rooted at dir, creating it if needed.
@@ -116,12 +123,14 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		TraceHits:    c.traceHits.Load(),
-		TraceMisses:  c.traceMisses.Load(),
-		ResultHits:   c.resultHits.Load(),
-		ResultMisses: c.resultMisses.Load(),
-		BytesRead:    c.bytesRead.Load(),
-		BytesWritten: c.bytesWritten.Load(),
+		TraceHits:     c.traceHits.Load(),
+		TraceMisses:   c.traceMisses.Load(),
+		ResultHits:    c.resultHits.Load(),
+		ResultMisses:  c.resultMisses.Load(),
+		TraceCorrupt:  c.traceCorrupt.Load(),
+		ResultCorrupt: c.resultCorrupt.Load(),
+		BytesRead:     c.bytesRead.Load(),
+		BytesWritten:  c.bytesWritten.Load(),
 	}
 }
 
@@ -185,11 +194,20 @@ func (c *Cache) tracePath(hash string) string {
 }
 
 func (c *Cache) resultPath(hash string) string {
-	return filepath.Join(c.dir, "results", hash[:2], hash+".json")
+	return filepath.Join(c.dir, "results", hash[:2], hash+".rec")
 }
 
-// GetSet loads the memoized set for key, if present and intact. Corrupt
-// or stale-format artifacts count as misses (and are left for Prune).
+// miss counts a miss, and counts it corrupt too unless the artifact was
+// simply absent.
+func (c *Cache) miss(misses, corrupt *atomic.Int64, err error) {
+	misses.Add(1)
+	if !errors.Is(err, fs.ErrNotExist) {
+		corrupt.Add(1)
+	}
+}
+
+// GetSet loads the memoized set for key, if present and intact. A
+// corrupt artifact counts as a miss; the regenerated set overwrites it.
 func (c *Cache) GetSet(key SetKey) (*workload.Set, bool) {
 	if !c.Enabled() {
 		return nil, false
@@ -197,7 +215,7 @@ func (c *Cache) GetSet(key SetKey) (*workload.Set, bool) {
 	path := c.tracePath(key.Hash())
 	set, _, err := tracefile.Load(path)
 	if err != nil {
-		c.traceMisses.Add(1)
+		c.miss(&c.traceMisses, &c.traceCorrupt, err)
 		return nil, false
 	}
 	c.traceHits.Add(1)
@@ -222,64 +240,19 @@ func (c *Cache) PutSet(key SetKey, set *workload.Set) error {
 	return nil
 }
 
-// ThreadRecord preserves the per-thread values result consumers read
-// (latency distributions need the cycle stamps, MPKI needs nothing
-// more).
-type ThreadRecord struct {
-	Enqueue uint64 `json:"enq"`
-	Start   uint64 `json:"start"`
-	Finish  uint64 `json:"finish"`
-	Instrs  uint64 `json:"instrs"`
-}
-
-// Record is the serialized form of a sim.Result.
-type Record struct {
-	SchemaVersion int            `json:"schema_version"`
-	Stats         sim.Stats      `json:"stats"`
-	Threads       []ThreadRecord `json:"threads"`
-}
-
-// RecordOf projects a result into its cacheable record.
-func RecordOf(res sim.Result) Record {
-	rec := Record{SchemaVersion: FormatVersion, Stats: res.Stats}
-	rec.Threads = make([]ThreadRecord, len(res.Threads))
-	for i, t := range res.Threads {
-		rec.Threads[i] = ThreadRecord{
-			Enqueue: t.EnqueueCycle, Start: t.StartCycle,
-			Finish: t.FinishCycle, Instrs: t.Instrs,
-		}
-	}
-	return rec
-}
-
-// Result reconstructs a sim.Result. The rebuilt threads carry the cycle
-// stamps and instruction counts but no transaction pointers — exactly
-// the surface the reporting layers consume.
-func (r Record) Result() sim.Result {
-	res := sim.Result{Stats: r.Stats}
-	res.Threads = make([]*sim.Thread, len(r.Threads))
-	for i, t := range r.Threads {
-		res.Threads[i] = &sim.Thread{
-			EnqueueCycle: t.Enqueue, StartCycle: t.Start,
-			FinishCycle: t.Finish, Instrs: t.Instrs,
-		}
-	}
-	return res
-}
-
-// GetResult loads the memoized run record for key.
+// GetResult loads the memoized run record for key. A record that is
+// absent, or fails its magic, version, length or CRC check, is a miss.
 func (c *Cache) GetResult(key string) (Record, bool) {
 	if !c.Enabled() {
 		return Record{}, false
 	}
 	data, err := os.ReadFile(c.resultPath(key))
-	if err != nil {
-		c.resultMisses.Add(1)
-		return Record{}, false
-	}
 	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil || rec.SchemaVersion != FormatVersion {
-		c.resultMisses.Add(1)
+	if err == nil {
+		rec, err = decodeRecord(data)
+	}
+	if err != nil {
+		c.miss(&c.resultMisses, &c.resultCorrupt, err)
 		return Record{}, false
 	}
 	c.resultHits.Add(1)
@@ -292,11 +265,7 @@ func (c *Cache) PutResult(key string, rec Record) error {
 	if !c.Enabled() {
 		return nil
 	}
-	rec.SchemaVersion = FormatVersion
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
+	data := encodeRecord(rec)
 	if err := atomicfile.WriteFile(c.resultPath(key), func(w io.Writer) error {
 		_, werr := w.Write(data)
 		return werr

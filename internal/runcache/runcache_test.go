@@ -156,7 +156,7 @@ func TestCorruptResultIsAMiss(t *testing.T) {
 	if err := c.PutResult(key, Record{}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(c.Dir(), "results", key[:2], key+".json")
+	path := filepath.Join(c.Dir(), "results", key[:2], key+".rec")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}

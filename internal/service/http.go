@@ -360,6 +360,8 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	p.Counter("strexd_cache_trace_misses_total", "Workload trace cache misses.", float64(m.Cache.TraceMisses))
 	p.Counter("strexd_cache_result_hits_total", "Run result cache hits.", float64(m.Cache.ResultHits))
 	p.Counter("strexd_cache_result_misses_total", "Run result cache misses.", float64(m.Cache.ResultMisses))
+	p.Counter("strexd_cache_trace_corrupt_total", "Trace cache misses on a present but unreadable artifact.", float64(m.Cache.TraceCorrupt))
+	p.Counter("strexd_cache_result_corrupt_total", "Result cache misses on a present but unreadable record.", float64(m.Cache.ResultCorrupt))
 	p.Counter("strexd_cache_read_bytes_total", "Bytes read from the run cache.", float64(m.Cache.BytesRead))
 	p.Counter("strexd_cache_written_bytes_total", "Bytes written to the run cache.", float64(m.Cache.BytesWritten))
 

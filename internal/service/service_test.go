@@ -424,6 +424,15 @@ func checkTraceTraffic(t *testing.T, hs *httptest.Server, hits, misses int64) {
 		t.Fatalf("/v1/metrics trace hits/misses = %d/%d, want %d/%d",
 			m.Cache.TraceHits, m.Cache.TraceMisses, hits, misses)
 	}
+	checkPromCounters(t, hs, map[string]int64{
+		"strexd_cache_trace_hits_total":   hits,
+		"strexd_cache_trace_misses_total": misses,
+	})
+}
+
+// checkPromCounters asserts counter values in the Prometheus exposition.
+func checkPromCounters(t *testing.T, hs *httptest.Server, want map[string]int64) {
+	t.Helper()
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -433,14 +442,65 @@ func checkTraceTraffic(t *testing.T, hs *httptest.Server, hits, misses int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range map[string]int64{
-		"strexd_cache_trace_hits_total":   hits,
-		"strexd_cache_trace_misses_total": misses,
-	} {
-		if v, err := fams[name].Value(); err != nil || v != float64(want) {
-			t.Fatalf("%s = %v (err %v), want %d", name, v, err, want)
+	for name, w := range want {
+		if v, err := fams[name].Value(); err != nil || v != float64(w) {
+			t.Fatalf("%s = %v (err %v), want %d", name, v, err, w)
 		}
 	}
+}
+
+// TestCorruptArtifactsCounted: a daemon restarted on a cache in which
+// every trace and result record has one flipped byte re-runs the job
+// with the cold result, rewrites the artifacts, and counts each corrupt
+// read apart from absent ones in /v1/metrics and the exposition.
+func TestCorruptArtifactsCounted(t *testing.T) {
+	s, hs := newTestServer(t, Config{Parallel: 1})
+	spec := tinySpec(19)
+	spec.Seeds = 2
+	st, _ := postJob(t, hs, spec)
+	waitState(t, s, st.ID, StateDone)
+	_, _, cold := getResultRaw(t, hs, st.ID)
+
+	for _, sub := range []string{"traces", "results"} {
+		err := filepath.WalkDir(filepath.Join(s.cfg.CacheDir, sub), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			data[len(data)/2] ^= 0x20
+			return os.WriteFile(path, data, 0o644)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted := func(hs *httptest.Server, corrupt int64) {
+		t.Helper()
+		if c := getMetrics(t, hs).Cache; c.TraceCorrupt != corrupt || c.ResultCorrupt != corrupt {
+			t.Fatalf("/v1/metrics corrupt traces/results = %d/%d, want %d/%d", c.TraceCorrupt, c.ResultCorrupt, corrupt, corrupt)
+		}
+		checkPromCounters(t, hs, map[string]int64{
+			"strexd_cache_trace_corrupt_total":  corrupt,
+			"strexd_cache_result_corrupt_total": corrupt,
+		})
+	}
+	s2, hs2 := newTestServer(t, Config{Parallel: 1, CacheDir: s.cfg.CacheDir})
+	st2, _ := postJob(t, hs2, spec)
+	waitState(t, s2, st2.ID, StateDone)
+	if _, _, raw := getResultRaw(t, hs2, st2.ID); raw != cold {
+		t.Fatalf("re-run result differs from cold:\n%s\nvs\n%s", raw, cold)
+	}
+	counted(hs2, 2)
+
+	s3, hs3 := newTestServer(t, Config{Parallel: 1, CacheDir: s.cfg.CacheDir})
+	st3, _ := postJob(t, hs3, spec)
+	if fin := waitState(t, s3, st3.ID, StateDone); fin.Generations == nil || *fin.Generations != 0 {
+		t.Fatalf("rewritten cache: generations = %v, want 0", fin.Generations)
+	}
+	counted(hs3, 0)
 }
 
 // TestCancel covers both cancellation shapes: a queued job (detached

@@ -256,6 +256,8 @@ func (wk *Worker) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	p.Counter("strexworker_cache_trace_misses_total", "Workload trace cache misses.", float64(st.TraceMisses))
 	p.Counter("strexworker_cache_result_hits_total", "Run result cache hits.", float64(st.ResultHits))
 	p.Counter("strexworker_cache_result_misses_total", "Run result cache misses.", float64(st.ResultMisses))
+	p.Counter("strexworker_cache_trace_corrupt_total", "Trace cache misses on a present but unreadable artifact.", float64(st.TraceCorrupt))
+	p.Counter("strexworker_cache_result_corrupt_total", "Result cache misses on a present but unreadable record.", float64(st.ResultCorrupt))
 
 	p.Histogram("strexworker_run_seconds", "Run RPC serve latency (successful runs).", wk.runLat.Snapshot(), 1e-9)
 	p.Histogram("strexworker_http_request_seconds", "HTTP handler latency, all endpoints.", wk.httpLat.Snapshot(), 1e-9)

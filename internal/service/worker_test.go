@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"strex/internal/runcache"
 	"strex/internal/shard"
 	"strex/internal/sim"
 )
@@ -81,4 +84,31 @@ func TestWorkerRejectsCoreCountsOutOfRange(t *testing.T) {
 			t.Errorf("cores %d: status %d, want %d", tc.cores, resp.StatusCode, tc.want)
 		}
 	}
+}
+
+// TestWorkerExposesCorruptReads: the worker's exposition carries the
+// cache's corrupt-read counters beside its hits and misses.
+func TestWorkerExposesCorruptReads(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := runcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "ab12"
+	if err := os.MkdirAll(filepath.Join(dir, "results", key[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results", key[:2], key+".rec"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.GetResult(key); ok {
+		t.Fatal("torn record served")
+	}
+	hs := httptest.NewServer(NewWorker(WorkerConfig{Parallel: 1, Cache: cache}).Handler())
+	defer hs.Close()
+	checkPromCounters(t, hs, map[string]int64{
+		"strexworker_cache_result_misses_total":  1,
+		"strexworker_cache_result_corrupt_total": 1,
+		"strexworker_cache_trace_corrupt_total":  0,
+	})
 }

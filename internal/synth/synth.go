@@ -206,15 +206,16 @@ func (w *Workload) generate(n int, pick func() int) *workload.Set {
 		Types:  w.TypeNames(),
 		Layout: w.layout,
 	}
+	var scratch trace.Buffer
 	for i := 0; i < n; i++ {
 		typ := pick()
-		buf := &trace.Buffer{}
-		w.run(typ, uint64(i), buf)
+		scratch.Reset()
+		w.run(typ, uint64(i), &scratch)
 		set.Txns = append(set.Txns, &workload.Txn{
 			ID:     i,
 			Type:   typ,
 			Header: w.layout.Func(w.types[typ].root).Base,
-			Trace:  buf,
+			Trace:  scratch.Clone(),
 		})
 	}
 	set.DataBlocks = hotBlocks + privSlots*privBlocks

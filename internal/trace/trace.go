@@ -98,6 +98,16 @@ func (b *Buffer) Reset() {
 	b.Instrs, b.Loads, b.Stores = 0, 0, 0
 }
 
+// Clone returns a copy of b whose entries are allocated once, at their
+// final length. Generators emit into one reused scratch buffer and keep
+// a clone of it, so stored traces never carry append-doubling slack.
+func (b *Buffer) Clone() *Buffer {
+	c := *b
+	c.Entries = make([]Entry, len(b.Entries))
+	copy(c.Entries, b.Entries)
+	return &c
+}
+
 // InstrRuns returns the number of maximal runs of consecutive
 // instruction entries — the stretches between data accesses.
 func (b *Buffer) InstrRuns() int {

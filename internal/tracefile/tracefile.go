@@ -31,19 +31,21 @@
 // simulator; Decode is additionally hardened against hostile inputs
 // (it never trusts a length field further than the bytes that follow).
 //
-// Reading and writing stream transaction-by-transaction (Reader/Writer);
-// Save/Load/Open are the whole-file conveniences built on them.
+// Both directions work on byte slices. Writer appends each transaction
+// record to one reused slice; Load and Decode read the whole file and
+// decode it from one slice, with a single CRC pass. Open reads only the
+// header.
 package tracefile
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"strex/internal/atomicfile"
@@ -171,22 +173,30 @@ func (m Meta) layoutOf() (*codegen.Layout, error) {
 	return codegen.RestoreLayout(funcs)
 }
 
-// Writer streams a trace file. The header (and therefore the exact
+// Writer writes a trace file. The header (and therefore the exact
 // transaction count and summary totals) is written up front, so the
-// caller must know them before streaming — NewWriter takes the Meta and
+// caller must know them before writing — NewWriter takes the Meta and
 // Close fails if the written transactions do not match it. Save computes
 // the Meta from a materialized set; capture-style producers can build
 // one incrementally before writing.
 type Writer struct {
-	w    *bufio.Writer
-	crc  hash.Hash32
+	w    io.Writer
+	buf  []byte // bytes not yet handed to w, reused across transactions
+	crc  uint32 // CRC-32 of the bytes already handed to w
 	meta Meta
 	n    int
 	err  error
 }
 
-// NewWriter writes the header for meta to w and returns a Writer ready
-// to stream transactions. meta.FormatVersion is forced to Version.
+// flushAt is the pending size at which WriteTxn hands its buffer to the
+// underlying writer.
+const flushAt = 64 << 10
+
+// fixedLen is the size of the magic, version and header-length prefix.
+const fixedLen = len(magic) + 2 + 4
+
+// NewWriter prepares the header for meta and returns a Writer ready to
+// take transactions. meta.FormatVersion is forced to Version.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	meta.FormatVersion = Version
 	hdr, err := json.Marshal(meta)
@@ -196,32 +206,11 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	if len(hdr) > maxHeaderBytes {
 		return nil, fmt.Errorf("tracefile: header too large (%d bytes)", len(hdr))
 	}
-	tw := &Writer{crc: crc32.NewIEEE(), meta: meta}
-	tw.w = bufio.NewWriter(io.MultiWriter(w, tw.crc))
-	if _, err := tw.w.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	var fix [6]byte
-	binary.LittleEndian.PutUint16(fix[0:2], Version)
-	binary.LittleEndian.PutUint32(fix[2:6], uint32(len(hdr)))
-	if _, err := tw.w.Write(fix[:]); err != nil {
-		return nil, err
-	}
-	if _, err := tw.w.Write(hdr); err != nil {
-		return nil, err
-	}
-	return tw, nil
-}
-
-// Meta returns the header being written.
-func (w *Writer) Meta() Meta { return w.meta }
-
-func (w *Writer) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	if _, err := w.w.Write(buf[:n]); err != nil && w.err == nil {
-		w.err = err
-	}
+	buf := make([]byte, 0, flushAt)
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
+	return &Writer{w: w, buf: append(buf, hdr...), meta: meta}, nil
 }
 
 // WriteTxn appends one transaction record.
@@ -233,21 +222,36 @@ func (w *Writer) WriteTxn(tx *workload.Txn) error {
 		w.err = fmt.Errorf("tracefile: more transactions written than header declares (%d)", w.meta.Txns)
 		return w.err
 	}
-	w.uvarint(uint64(tx.ID))
-	w.uvarint(uint64(tx.Type))
-	w.uvarint(uint64(tx.Header))
-	w.uvarint(uint64(len(tx.Trace.Entries)))
+	b := w.buf
+	b = binary.AppendUvarint(b, uint64(tx.ID))
+	b = binary.AppendUvarint(b, uint64(tx.Type))
+	b = binary.AppendUvarint(b, uint64(tx.Header))
+	b = binary.AppendUvarint(b, uint64(len(tx.Trace.Entries)))
 	for _, e := range tx.Trace.Entries {
-		w.uvarint(uint64(e.Block)<<2 | uint64(e.Kind))
+		b = binary.AppendUvarint(b, uint64(e.Block)<<2|uint64(e.Kind))
 		if e.Kind == trace.KInstr {
-			w.uvarint(uint64(e.N))
+			b = binary.AppendUvarint(b, uint64(e.N))
 		}
 	}
+	w.buf = b
 	w.n++
+	if len(w.buf) >= flushAt {
+		w.flush()
+	}
 	return w.err
 }
 
-// Close flushes the payload and writes the CRC trailer. It fails if
+// flush hands the pending bytes to the underlying writer, folding them
+// into the running checksum.
+func (w *Writer) flush() {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.buf)
+	if _, err := w.w.Write(w.buf); err != nil && w.err == nil {
+		w.err = err
+	}
+	w.buf = w.buf[:0]
+}
+
+// Close writes the pending payload and the CRC trailer. It fails if
 // fewer transactions were written than the header declares.
 func (w *Writer) Close() error {
 	if w.err != nil {
@@ -256,20 +260,10 @@ func (w *Writer) Close() error {
 	if w.n != w.meta.Txns {
 		return fmt.Errorf("tracefile: header declares %d txns, %d written", w.meta.Txns, w.n)
 	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	// Flush has pushed everything through the MultiWriter, so the digest
-	// is final here — capture it BEFORE writing the trailer. The trailer
-	// bytes then also pass through the (now irrelevant) hash, because
-	// bypassing the bufio/MultiWriter stack would reorder output.
-	sum := w.crc.Sum32()
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	if _, err := w.w.Write(tr[:]); err != nil {
-		return err
-	}
-	return w.w.Flush()
+	sum := crc32.Update(w.crc, crc32.IEEETable, w.buf)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
+	w.flush()
+	return w.err
 }
 
 // Encode writes set as a complete trace file to w.
@@ -294,103 +288,58 @@ func Save(path string, set *workload.Set, prov Provenance) error {
 	})
 }
 
-// crcByteReader hashes exactly the bytes its caller consumes. Hashing
-// must sit *above* the bufio buffer: a tee below it would digest
-// read-ahead bytes (including the CRC trailer itself) before the
-// decoder reaches them.
-type crcByteReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
-	one [1]byte
-}
-
-func (c *crcByteReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.crc.Write(p[:n])
-	}
-	return n, err
-}
-
-func (c *crcByteReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.one[0] = b
-		c.crc.Write(c.one[:])
-	}
-	return b, err
-}
-
-// Reader streams a trace file: header first, then one transaction per
-// Next call. The CRC is verified by Verify (Load calls it; tools that
-// only want the header may skip it).
-type Reader struct {
-	raw   *bufio.Reader // post-payload reads (trailer) bypass the CRC
-	r     *crcByteReader
-	meta  Meta
-	n     int // transactions decoded so far
-	sums  struct{ entries, instrs, loads, stores, instrRuns uint64 }
-	close io.Closer
-}
-
-// NewReader reads and validates the header from r.
-func NewReader(r io.Reader) (*Reader, error) {
-	raw := bufio.NewReader(r)
-	tr := &Reader{raw: raw, r: &crcByteReader{r: raw, crc: crc32.NewIEEE()}}
-	var fixed [14]byte
-	if _, err := io.ReadFull(tr.r, fixed[:]); err != nil {
-		return nil, truncated(err)
-	}
+// headerLen validates the fixed prefix and returns the header length it
+// declares.
+func headerLen(fixed []byte) (int, error) {
 	if [8]byte(fixed[:8]) != magic {
-		return nil, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if v := binary.LittleEndian.Uint16(fixed[8:10]); v != Version {
 		if v < Version {
-			return nil, fmt.Errorf("%w: file is v%d, which predates segment metadata (this build reads v%d)", ErrVersion, v, Version)
+			return 0, fmt.Errorf("%w: file is v%d, which predates segment metadata (this build reads v%d)", ErrVersion, v, Version)
 		}
-		return nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrVersion, v, Version)
+		return 0, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrVersion, v, Version)
 	}
-	hdrLen := binary.LittleEndian.Uint32(fixed[10:14])
-	if hdrLen > maxHeaderBytes {
-		return nil, fmt.Errorf("%w: header length %d", ErrCorrupt, hdrLen)
+	n := binary.LittleEndian.Uint32(fixed[10:14])
+	if n > maxHeaderBytes {
+		return 0, fmt.Errorf("%w: header length %d", ErrCorrupt, n)
 	}
-	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(tr.r, hdr); err != nil {
-		return nil, truncated(err)
-	}
-	if err := json.Unmarshal(hdr, &tr.meta); err != nil {
-		return nil, fmt.Errorf("%w: bad header: %v", ErrCorrupt, err)
-	}
-	if tr.meta.Txns < 0 {
-		return nil, fmt.Errorf("%w: negative txn count", ErrCorrupt)
-	}
-	return tr, nil
+	return int(n), nil
 }
 
-// Open opens path for streaming; the caller must Close it.
-func Open(path string) (*Reader, error) {
+func parseMeta(hdr []byte) (Meta, error) {
+	var m Meta
+	if err := json.Unmarshal(hdr, &m); err != nil {
+		return Meta{}, fmt.Errorf("%w: bad header: %v", ErrCorrupt, err)
+	}
+	if m.Txns < 0 {
+		return Meta{}, fmt.Errorf("%w: negative txn count", ErrCorrupt)
+	}
+	return m, nil
+}
+
+// Open reads only the header of the trace file at path: O(1) in the
+// payload size. It verifies neither the checksum nor the payload; Load
+// does both.
+func Open(path string) (Meta, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return Meta{}, err
 	}
-	r, err := NewReader(f)
+	defer f.Close()
+	var fixed [fixedLen]byte
+	if _, err := io.ReadFull(f, fixed[:]); err != nil {
+		return Meta{}, truncated(err)
+	}
+	n, err := headerLen(fixed[:])
 	if err != nil {
-		f.Close()
-		return nil, err
+		return Meta{}, err
 	}
-	r.close = f
-	return r, nil
-}
-
-// Meta returns the decoded header.
-func (r *Reader) Meta() Meta { return r.meta }
-
-// Close releases the underlying file, if Open provided one.
-func (r *Reader) Close() error {
-	if r.close != nil {
-		return r.close.Close()
+	hdr := make([]byte, n)
+	if _, err := io.ReadFull(f, hdr); err != nil {
+		return Meta{}, truncated(err)
 	}
-	return nil
+	return parseMeta(hdr)
 }
 
 func truncated(err error) error {
@@ -400,129 +349,49 @@ func truncated(err error) error {
 	return err
 }
 
-func (r *Reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, truncated(err)
-	}
-	return v, nil
-}
-
-// Next decodes the next transaction record. It returns io.EOF once the
-// header-declared count has been read.
-func (r *Reader) Next() (*workload.Txn, error) {
-	if r.n >= r.meta.Txns {
-		return nil, io.EOF
-	}
-	id, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	typ, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	header, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if id >= uint64(r.meta.Txns) || typ >= uint64(len(r.meta.Types)) || header > 1<<32-1 {
-		return nil, fmt.Errorf("%w: txn record %d out of range (id=%d type=%d)", ErrCorrupt, r.n, id, typ)
-	}
-	if count == 0 || count > r.meta.Entries {
-		return nil, fmt.Errorf("%w: txn %d declares %d entries (file total %d)", ErrCorrupt, id, count, r.meta.Entries)
-	}
-	buf := &trace.Buffer{}
-	// Preallocate conservatively: count is attacker-controlled until the
-	// entries actually decode, so cap the up-front allocation and let
-	// append grow the rest.
-	if prealloc := count; prealloc <= 1<<16 {
-		buf.Entries = make([]trace.Entry, 0, prealloc)
-	}
-	for i := uint64(0); i < count; i++ {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		kind := trace.Kind(v & 3)
-		block := v >> 2
-		if block > 1<<32-1 || kind > trace.KStore {
-			return nil, fmt.Errorf("%w: txn %d entry %d malformed", ErrCorrupt, id, i)
-		}
-		e := trace.Entry{Block: uint32(block), Kind: kind}
-		switch kind {
-		case trace.KInstr:
-			n, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 || n > 0xFFFF {
-				return nil, fmt.Errorf("%w: txn %d entry %d has run length %d", ErrCorrupt, id, i, n)
-			}
-			e.N = uint16(n)
-			buf.Instrs += n
-		case trace.KLoad:
-			buf.Loads++
-		case trace.KStore:
-			buf.Stores++
-		}
-		buf.Entries = append(buf.Entries, e)
-	}
-	r.sums.entries += count
-	r.sums.instrs += buf.Instrs
-	r.sums.loads += buf.Loads
-	r.sums.stores += buf.Stores
-	r.sums.instrRuns += uint64(buf.InstrRuns())
-	r.n++
-	return &workload.Txn{ID: int(id), Type: int(typ), Header: uint32(header), Trace: buf}, nil
-}
-
-// Verify consumes any remaining transactions, reads the trailer, and
-// checks the CRC plus the header's summary totals against what was
-// actually decoded. It must be called after the payload has been (or
-// while it is being) read; Load always calls it.
-func (r *Reader) Verify() error {
-	for r.n < r.meta.Txns {
-		if _, err := r.Next(); err != nil {
-			return err
-		}
-	}
-	// The digest now covers exactly header + payload (hashing happens on
-	// consumed bytes, above the read-ahead buffer); the trailer is read
-	// from the raw stream so it never feeds the checksum it carries.
-	want := r.r.crc.Sum32()
-	var tr [4]byte
-	if _, err := io.ReadFull(r.raw, tr[:]); err != nil {
-		return truncated(err)
-	}
-	if got := binary.LittleEndian.Uint32(tr[:]); got != want {
-		return fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
-	}
-	if extra, err := r.raw.ReadByte(); err == nil {
-		return fmt.Errorf("%w: trailing byte(s) after trailer (first: %#x)", ErrCorrupt, extra)
-	}
-	if r.sums.entries != r.meta.Entries || r.sums.instrs != r.meta.Instrs ||
-		r.sums.loads != r.meta.Loads || r.sums.stores != r.meta.Stores ||
-		r.sums.instrRuns != r.meta.InstrRuns {
-		return fmt.Errorf("%w: header totals (entries=%d instrs=%d loads=%d stores=%d instr runs=%d) != decoded (%d/%d/%d/%d/%d)",
-			ErrCorrupt, r.meta.Entries, r.meta.Instrs, r.meta.Loads, r.meta.Stores, r.meta.InstrRuns,
-			r.sums.entries, r.sums.instrs, r.sums.loads, r.sums.stores, r.sums.instrRuns)
-	}
-	return nil
-}
-
 // Decode reads a complete trace file from r, verifies its checksum and
 // structural invariants, and reconstructs the workload set.
-func Decode(rd io.Reader) (*workload.Set, Meta, error) {
-	r, err := NewReader(rd)
+func Decode(r io.Reader) (*workload.Set, Meta, error) {
+	// io.Copy hands a bytes.Reader's contents over in one exact-size
+	// write; other readers fill the buffer by doubling.
+	var b bytes.Buffer
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, Meta{}, err
+	}
+	return decode(b.Bytes())
+}
+
+// Load reads, verifies and reconstructs the set saved at path.
+func Load(path string) (*workload.Set, Meta, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	meta := r.Meta()
+	return decode(data)
+}
+
+// minTxnBytes is the smallest encoding of one transaction record: four
+// one-byte varints and one data entry.
+const minTxnBytes = 5
+
+// decode is the package's one payload decoder. Every length field is
+// checked against the bytes that remain before anything is allocated
+// for it, so a hostile file costs at most a small multiple of its size.
+func decode(data []byte) (*workload.Set, Meta, error) {
+	if len(data) < fixedLen {
+		return nil, Meta{}, io.ErrUnexpectedEOF
+	}
+	hlen, err := headerLen(data)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	if len(data)-fixedLen < hlen {
+		return nil, Meta{}, io.ErrUnexpectedEOF
+	}
+	meta, err := parseMeta(data[fixedLen : fixedLen+hlen])
+	if err != nil {
+		return nil, Meta{}, err
+	}
 	set := &workload.Set{
 		Name:       meta.SetName,
 		Types:      meta.Types,
@@ -531,21 +400,27 @@ func Decode(rd io.Reader) (*workload.Set, Meta, error) {
 	if set.Layout, err = meta.layoutOf(); err != nil {
 		return nil, meta, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if meta.Txns <= 1<<20 {
-		set.Txns = make([]*workload.Txn, 0, meta.Txns)
+	d := decoder{data: data, pos: fixedLen + hlen, meta: &meta}
+	if meta.Txns > (len(data)-d.pos)/minTxnBytes {
+		return nil, meta, io.ErrUnexpectedEOF
 	}
-	for {
-		tx, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	set.Txns = make([]*workload.Txn, meta.Txns)
+	for i := range set.Txns {
+		if set.Txns[i], err = d.txn(i); err != nil {
 			return nil, meta, err
 		}
-		set.Txns = append(set.Txns, tx)
 	}
-	if err := r.Verify(); err != nil {
-		return nil, meta, err
+	if rest := len(data) - d.pos; rest < 4 {
+		return nil, meta, io.ErrUnexpectedEOF
+	} else if rest > 4 {
+		return nil, meta, fmt.Errorf("%w: %d trailing byte(s) after trailer", ErrCorrupt, rest-4)
+	}
+	if got, want := binary.LittleEndian.Uint32(data[d.pos:]), crc32.ChecksumIEEE(data[:d.pos]); got != want {
+		return nil, meta, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
+	}
+	if s := d.sums; s != [5]uint64{meta.Entries, meta.Instrs, meta.Loads, meta.Stores, meta.InstrRuns} {
+		return nil, meta, fmt.Errorf("%w: header totals (entries=%d instrs=%d loads=%d stores=%d instr runs=%d) != decoded (%d/%d/%d/%d/%d)",
+			ErrCorrupt, meta.Entries, meta.Instrs, meta.Loads, meta.Stores, meta.InstrRuns, s[0], s[1], s[2], s[3], s[4])
 	}
 	if err := set.Validate(); err != nil {
 		return nil, meta, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -553,12 +428,97 @@ func Decode(rd io.Reader) (*workload.Set, Meta, error) {
 	return set, meta, nil
 }
 
-// Load reads, verifies and reconstructs the set saved at path.
-func Load(path string) (*workload.Set, Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Meta{}, err
+// decoder walks the payload of one file held in memory.
+type decoder struct {
+	data []byte
+	pos  int
+	err  error // sticky: the first truncated or overflowing varint
+	meta *Meta
+	// sums recounts entries, instrs, loads, stores and instruction runs
+	// for the check against the header totals.
+	sums [5]uint64
+}
+
+// uvarint decodes the varint at the read position; one-byte varints
+// take the inlined path. Past an error it returns 0 and leaves d.err set.
+func (d *decoder) uvarint() uint64 {
+	if p := d.pos; p < len(d.data) && d.data[p] < 0x80 {
+		d.pos++
+		return uint64(d.data[p])
 	}
-	defer f.Close()
-	return Decode(f)
+	return d.uvarintSlow()
+}
+
+func (d *decoder) uvarintSlow() uint64 {
+	v, n := binary.Uvarint(d.data[d.pos:])
+	if n > 0 {
+		d.pos += n
+		return v
+	}
+	if d.err == nil {
+		d.err = io.ErrUnexpectedEOF
+		if n < 0 {
+			d.err = fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
+		}
+	}
+	d.pos = len(d.data)
+	return 0
+}
+
+// txn decodes transaction record i.
+func (d *decoder) txn(i int) (*workload.Txn, error) {
+	id, typ, header, count := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if id >= uint64(d.meta.Txns) || typ >= uint64(len(d.meta.Types)) || header > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: txn record %d out of range (id=%d type=%d)", ErrCorrupt, i, id, typ)
+	}
+	if count == 0 || count > d.meta.Entries-d.sums[0] {
+		return nil, fmt.Errorf("%w: txn %d declares %d entries (file total %d)", ErrCorrupt, id, count, d.meta.Entries)
+	}
+	// Every entry takes at least one byte: a count beyond the bytes that
+	// remain is a truncated (or lying) file, caught before allocating.
+	if count > uint64(len(d.data)-d.pos) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	buf := &trace.Buffer{Entries: make([]trace.Entry, count)}
+	prev := trace.KLoad
+	for j := range buf.Entries {
+		v := d.uvarint()
+		e := &buf.Entries[j]
+		e.Kind = trace.Kind(v & 3)
+		if v>>2 > math.MaxUint32 || e.Kind > trace.KStore {
+			return nil, fmt.Errorf("%w: txn %d entry %d malformed", ErrCorrupt, id, j)
+		}
+		e.Block = uint32(v >> 2)
+		switch e.Kind {
+		case trace.KInstr:
+			n := d.uvarint()
+			if n == 0 || n > math.MaxUint16 {
+				if d.err != nil {
+					return nil, d.err
+				}
+				return nil, fmt.Errorf("%w: txn %d entry %d has run length %d", ErrCorrupt, id, j, n)
+			}
+			e.N = uint16(n)
+			buf.Instrs += n
+			if prev != trace.KInstr {
+				d.sums[4]++
+			}
+		case trace.KLoad:
+			buf.Loads++
+		case trace.KStore:
+			buf.Stores++
+		}
+		prev = e.Kind
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	d.sums[0] += count
+	d.sums[1] += buf.Instrs
+	d.sums[2] += buf.Loads
+	d.sums[3] += buf.Stores
+	return &workload.Txn{ID: int(id), Type: int(typ), Header: uint32(header), Trace: buf}, nil
 }

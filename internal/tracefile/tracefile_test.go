@@ -3,14 +3,18 @@ package tracefile
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"strex/internal/bench"
+	"strex/internal/trace"
 	"strex/internal/workload"
 )
 
@@ -76,31 +80,13 @@ func TestSaveLoadAndOpen(t *testing.T) {
 	if meta.Provenance.Scale != 100 || meta.Provenance.Seed != 7 {
 		t.Fatalf("provenance lost: %+v", meta.Provenance)
 	}
-	// Streaming open: header without decoding, then txn-by-txn.
-	r, err := Open(path)
+	// Open reads the header alone, and it is the header Load decoded.
+	hdr, err := Open(path)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer r.Close()
-	if r.Meta().Txns != len(set.Txns) {
-		t.Fatalf("open meta txns = %d, want %d", r.Meta().Txns, len(set.Txns))
-	}
-	n := 0
-	for {
-		tx, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("next: %v", err)
-		}
-		if !reflect.DeepEqual(tx, set.Txns[n]) {
-			t.Fatalf("txn %d differs when streamed", n)
-		}
-		n++
-	}
-	if err := r.Verify(); err != nil {
-		t.Fatalf("verify: %v", err)
+	if !reflect.DeepEqual(hdr, meta) {
+		t.Fatalf("open meta = %+v, want %+v", hdr, meta)
 	}
 }
 
@@ -243,9 +229,58 @@ func TestWriterCountMismatch(t *testing.T) {
 	}
 }
 
+// TestHostileEntryCountFailsCheaply: a file with a valid header whose
+// first transaction declares 2^40 entries over a 100-byte payload fails
+// as truncated or corrupt, without allocating for the declared count.
+func TestHostileEntryCountFailsCheaply(t *testing.T) {
+	hdr, err := json.Marshal(Meta{FormatVersion: Version, Types: []string{"T"}, Txns: 1, Entries: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), magic[:]...)
+	data = binary.LittleEndian.AppendUint16(data, Version)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(hdr)))
+	data = append(data, hdr...)
+	payload := binary.AppendUvarint([]byte{0, 0, 0}, 1<<40) // id, type, header, count
+	payload = append(payload, bytes.Repeat([]byte{byte(trace.KLoad)}, 100-len(payload))...)
+	data = append(data, payload...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = Decode(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want io.ErrUnexpectedEOF or ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("decoding a %d-byte file allocated %d bytes", len(data), n)
+	}
+}
+
+// TestEncodeAllocsDoNotScaleWithEntries: Encode appends every record to
+// one reused buffer, so TPC-C-1 at 32 transactions, about four times
+// the entries of 8, costs at most one more allocation per transaction.
+func TestEncodeAllocsDoNotScaleWithEntries(t *testing.T) {
+	allocs := func(txns int) float64 {
+		set := benchSet(t, "TPC-C-1", txns)
+		return testing.AllocsPerRun(3, func() {
+			if err := Encode(io.Discard, set, Provenance{Workload: set.Name, TypeID: -1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(32)
+	t.Logf("Encode allocations: %.0f at 8 txns, %.0f at 32", small, large)
+	if large-small > 32-8 {
+		t.Fatalf("Encode allocates %.0f objects at 8 txns and %.0f at 32: allocations scale with the entries", small, large)
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	set := benchSet(b, "TPC-C-1", 32)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		if err := Encode(&buf, set, Provenance{Workload: set.Name, TypeID: -1}); err != nil {

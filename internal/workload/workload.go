@@ -82,13 +82,7 @@ func (s *Set) Clone() *Set {
 		Txns:       make([]*Txn, len(s.Txns)),
 	}
 	for i, t := range s.Txns {
-		buf := &trace.Buffer{
-			Entries: append([]trace.Entry(nil), t.Trace.Entries...),
-			Instrs:  t.Trace.Instrs,
-			Loads:   t.Trace.Loads,
-			Stores:  t.Trace.Stores,
-		}
-		out.Txns[i] = &Txn{ID: t.ID, Type: t.Type, Header: t.Header, Trace: buf}
+		out.Txns[i] = &Txn{ID: t.ID, Type: t.Type, Header: t.Header, Trace: t.Trace.Clone()}
 	}
 	return out
 }
