@@ -13,6 +13,7 @@ package strex
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -261,29 +262,35 @@ func setEntries(w *Workload) uint64 {
 	return entries
 }
 
+// engineBenchScheds builds each scheduler once. Every run re-binds the
+// same instance — Bind resets a scheduler in place, so a re-bound run
+// allocates nothing — and the hybrid makes its choice here, outside any
+// timed loop.
 func engineBenchScheds(w *Workload, cores int) []struct {
-	name string
-	mk   func() sim.Scheduler
+	name  string
+	sched sim.Scheduler
 } {
-	bl := sched.NewBaseline() // stateless: one instance may be re-bound across runs
+	hybrid, err := DefaultConfig(cores).choose(SchedHybrid, func() (*core.FPTable, error) { return w.footprint(nil) })
+	if err != nil {
+		panic(err)
+	}
 	return []struct {
-		name string
-		mk   func() sim.Scheduler
+		name  string
+		sched sim.Scheduler
 	}{
-		{"Base", func() sim.Scheduler { return bl }},
-		{"STREX", func() sim.Scheduler { return sched.NewStrex() }},
-		{"SLICC", func() sim.Scheduler { return sched.NewSlicc() }},
-		{"Hybrid", func() sim.Scheduler { return sched.NewHybrid(wlSet(w), cores, 3) }},
+		{"Base", sched.NewBaseline()},
+		{"STREX", sched.NewStrex()},
+		{"SLICC", sched.NewSlicc()},
+		{"Hybrid", hybrid.mk()},
 	}
 }
 
 // BenchmarkEngineHotLoop runs one full engine execution per iteration
 // for each scheduler on the TPC-C mix, reporting trace entries/sec.
 // The engine is pooled (Reset+Run steady state, as internal/runner uses
-// it); schedulers are constructed fresh per run, per their contract,
-// except the stateless Baseline, which is built once as in
-// BenchmarkStepEntrySec. CI's allocation gate asserts that the Base run
-// performs zero allocations.
+// it) and each scheduler is built once and re-bound per run. CI's
+// allocation gate asserts that every scheduler's run performs zero
+// allocations.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	w := benchWorkload(b, 40)
 	entries := setEntries(w)
@@ -291,13 +298,20 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 	for _, s := range engineBenchScheds(w, cores) {
 		b.Run(s.name, func(b *testing.B) {
 			cfg := sim.DefaultConfig(cores)
-			eng := sim.New(cfg, wlSet(w), s.mk())
-			eng.Run() // warm-up: size the arenas
+			eng := sim.New(cfg, wlSet(w), s.sched)
+			eng.Run() // warm-up: size the arenas and the scheduler's buffers
+			// The run is single-goroutine; time it on one P. With a second
+			// P idle, a time-slice preemption of this goroutine can make
+			// the runtime start an OS thread mid-loop, and that thread's
+			// bookkeeping would count as the engine's allocations.
+			procs := runtime.GOMAXPROCS(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Reset(cfg, wlSet(w), s.mk())
+				eng.Reset(cfg, wlSet(w), s.sched)
 				eng.Run()
 			}
+			b.StopTimer()
+			runtime.GOMAXPROCS(procs)
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(entries)*float64(b.N)/secs, "entries/s")
 			}
@@ -362,11 +376,11 @@ func TestBenchSimJSON(t *testing.T) {
 	}
 	for _, s := range engineBenchScheds(w, cores) {
 		cfg := sim.DefaultConfig(cores)
-		eng := sim.New(cfg, wlSet(w), s.mk())
+		eng := sim.New(cfg, wlSet(w), s.sched)
 		eng.Run() // warm-up: size the arenas
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.Reset(cfg, wlSet(w), s.mk())
+				eng.Reset(cfg, wlSet(w), s.sched)
 				eng.Run()
 			}
 		})

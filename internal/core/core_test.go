@@ -28,7 +28,7 @@ func TestPhaseCounterWraps(t *testing.T) {
 }
 
 func TestTeamFIFOOrder(t *testing.T) {
-	team := NewTeam(100)
+	team := &Team{Header: 100}
 	for i := ThreadID(0); i < 5; i++ {
 		team.Add(i)
 	}
@@ -44,7 +44,7 @@ func TestTeamFIFOOrder(t *testing.T) {
 }
 
 func TestTeamFirstIsLead(t *testing.T) {
-	team := NewTeam(1)
+	team := &Team{Header: 1}
 	team.Add(7)
 	team.Add(8)
 	lead, ok := team.Lead()
@@ -57,7 +57,7 @@ func TestTeamFirstIsLead(t *testing.T) {
 }
 
 func TestTeamRequeueRoundRobin(t *testing.T) {
-	team := NewTeam(1)
+	team := &Team{Header: 1}
 	team.Add(1)
 	team.Add(2)
 	a, _ := team.Pop()
@@ -69,7 +69,7 @@ func TestTeamRequeueRoundRobin(t *testing.T) {
 }
 
 func TestRetireLeadPromotesNext(t *testing.T) {
-	team := NewTeam(1)
+	team := &Team{Header: 1}
 	team.Add(1)
 	team.Add(2)
 	team.Add(3)
@@ -85,7 +85,7 @@ func TestRetireLeadPromotesNext(t *testing.T) {
 }
 
 func TestRetireLeadOnEmptyQueue(t *testing.T) {
-	team := NewTeam(1)
+	team := &Team{Header: 1}
 	team.Add(1)
 	team.Pop()
 	team.RetireLead()
@@ -101,7 +101,7 @@ func TestFormTeamGroupsByHeader(t *testing.T) {
 		{ID: 2, Header: 100, Arrival: 2},
 		{ID: 3, Header: 100, Arrival: 3},
 	}
-	team := FormTeam(window, FormationConfig{Window: 30, TeamSize: 10})
+	team := FormTeam(nil, window, FormationConfig{Window: 30, TeamSize: 10})
 	if len(team) != 3 {
 		t.Fatalf("team size %d, want 3", len(team))
 	}
@@ -120,7 +120,7 @@ func TestFormTeamRespectsTeamSize(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		window = append(window, Candidate{ID: ThreadID(i), Header: 5, Arrival: i})
 	}
-	team := FormTeam(window, FormationConfig{Window: 30, TeamSize: 10})
+	team := FormTeam(nil, window, FormationConfig{Window: 30, TeamSize: 10})
 	if len(team) != 10 {
 		t.Fatalf("team size %d, want 10", len(team))
 	}
@@ -136,7 +136,7 @@ func TestFormTeamRespectsWindow(t *testing.T) {
 		}
 		window = append(window, Candidate{ID: ThreadID(i), Header: h, Arrival: i})
 	}
-	team := FormTeam(window, FormationConfig{Window: 30, TeamSize: 10})
+	team := FormTeam(nil, window, FormationConfig{Window: 30, TeamSize: 10})
 	if len(team) != 1 {
 		t.Fatalf("stray transaction should form a singleton team, got %d", len(team))
 	}
@@ -148,14 +148,14 @@ func TestFormTeamStray(t *testing.T) {
 		{ID: 1, Header: 2},
 		{ID: 2, Header: 3},
 	}
-	team := FormTeam(window, DefaultFormation())
+	team := FormTeam(nil, window, DefaultFormation())
 	if len(team) != 1 || team[0].ID != 0 {
 		t.Fatalf("stray team: %+v", team)
 	}
 }
 
 func TestFormTeamEmptyWindow(t *testing.T) {
-	if team := FormTeam(nil, DefaultFormation()); team != nil {
+	if team := FormTeam(nil, nil, DefaultFormation()); team != nil {
 		t.Fatal("empty window should form no team")
 	}
 }
@@ -172,7 +172,7 @@ func TestFormTeamProperty(t *testing.T) {
 			window[i] = Candidate{ID: ThreadID(i), Header: uint32(h % 4), Arrival: i}
 		}
 		cfg := FormationConfig{Window: 30, TeamSize: int(teamSize%20) + 1}
-		team := FormTeam(window, cfg)
+		team := FormTeam(nil, window, cfg)
 		if len(team) == 0 || len(team) > cfg.TeamSize {
 			return false
 		}

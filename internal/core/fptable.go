@@ -4,16 +4,42 @@ import (
 	"sort"
 
 	"strex/internal/codegen"
+	"strex/internal/trace"
 	"strex/internal/workload"
 )
 
 // FPTable is the transaction footprint size table of Section 5.5: the
 // average instruction footprint of each transaction type, in L1-I size
 // units. The hybrid mechanism consults it (together with the available
-// core count) to pick STREX or SLICC.
+// core count) to pick STREX or SLICC (ChooseSLICC).
+//
+// The hybrid is a choice, not a scheduler of its own: the paper builds
+// the table once, at startup or reconfiguration (the profiling phase is
+// ~0.2% of execution), then runs the picked mechanism unchanged. So
+// callers profile a set once, pick, and submit the run as plain SLICC
+// or STREX — at the paper's window of 30 and team size of 10 — under
+// that mechanism's own identity.
 type FPTable struct {
-	units map[uint32]int // header block -> footprint units
-	names map[uint32]string
+	rows []FPRow // ascending Header
+}
+
+// FPRow is one profiled transaction type.
+type FPRow struct {
+	Header uint32 // the type's header instruction block
+	Name   string // the type's name ("" when the set does not name it)
+	Units  int    // average footprint in L1-I units, at least 1
+}
+
+// HybridSamples is the number of transactions per type the hybrid's
+// profiling phase averages.
+const HybridSamples = 3
+
+// NewFPTable builds a table from its rows (as Rows returns them), for
+// callers that stored a measured table and read it back.
+func NewFPTable(rows []FPRow) *FPTable {
+	f := &FPTable{rows: append([]FPRow(nil), rows...)}
+	sort.Slice(f.rows, func(i, j int) bool { return f.rows[i].Header < f.rows[j].Header })
+	return f
 }
 
 // MeasureFPTable profiles a workload set and records per-type footprints.
@@ -27,45 +53,67 @@ type FPTable struct {
 // L1-I units exactly as the paper does. samplesPerType bounds how many
 // instances contribute to each type's average (the paper samples one
 // random transaction per type per profiling phase; averaging a few
-// samples just reduces variance).
+// samples just reduces variance). One block set, cleared between
+// samples, serves every sample.
 func MeasureFPTable(set *workload.Set, samplesPerType int) *FPTable {
 	if samplesPerType <= 0 {
 		samplesPerType = 1
 	}
-	sum := make(map[uint32]int)
-	cnt := make(map[uint32]int)
-	names := make(map[uint32]string)
+	type acc struct {
+		sum, cnt int
+	}
+	var rows []FPRow
+	var accs []acc
+	index := make(map[uint32]int) // header -> row
+	seen := make(map[uint32]struct{})
 	for _, tx := range set.Txns {
-		if cnt[tx.Header] >= samplesPerType {
+		i, ok := index[tx.Header]
+		if !ok {
+			i = len(rows)
+			index[tx.Header] = i
+			rows = append(rows, FPRow{Header: tx.Header})
+			accs = append(accs, acc{})
+		}
+		if accs[i].cnt >= samplesPerType {
 			continue
 		}
-		sum[tx.Header] += tx.Trace.UniqueIBlocks()
-		cnt[tx.Header]++
+		clear(seen)
+		for _, e := range tx.Trace.Entries {
+			if e.Kind == trace.KInstr {
+				seen[e.Block] = struct{}{}
+			}
+		}
+		accs[i].sum += len(seen)
+		accs[i].cnt++
 		if tx.Type >= 0 && tx.Type < len(set.Types) {
-			names[tx.Header] = set.Types[tx.Type]
+			rows[i].Name = set.Types[tx.Type]
 		}
 	}
-	units := make(map[uint32]int, len(sum))
-	for h, s := range sum {
-		avgBlocks := s / cnt[h]
-		u := codegen.Units(avgBlocks)
-		if u < 1 {
-			u = 1
+	for i := range rows {
+		rows[i].Units = codegen.Units(accs[i].sum / accs[i].cnt)
+		if rows[i].Units < 1 {
+			rows[i].Units = 1
 		}
-		units[h] = u
 	}
-	return &FPTable{units: units, names: names}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Header < rows[j].Header })
+	return &FPTable{rows: rows}
 }
+
+// Rows returns the table's rows in ascending header order.
+func (f *FPTable) Rows() []FPRow { return append([]FPRow(nil), f.rows...) }
 
 // Units returns the recorded footprint for a transaction header, in L1-I
 // units, and whether the type was profiled.
 func (f *FPTable) Units(header uint32) (int, bool) {
-	u, ok := f.units[header]
-	return u, ok
+	i := sort.Search(len(f.rows), func(i int) bool { return f.rows[i].Header >= header })
+	if i < len(f.rows) && f.rows[i].Header == header {
+		return f.rows[i].Units, true
+	}
+	return 0, false
 }
 
 // Types returns the number of profiled types.
-func (f *FPTable) Types() int { return len(f.units) }
+func (f *FPTable) Types() int { return len(f.rows) }
 
 // Entry is one FPTable row (for reporting Table 3).
 type Entry struct {
@@ -75,9 +123,9 @@ type Entry struct {
 
 // Entries returns the table sorted by type name.
 func (f *FPTable) Entries() []Entry {
-	out := make([]Entry, 0, len(f.units))
-	for h, u := range f.units {
-		out = append(out, Entry{Name: f.names[h], Units: u})
+	out := make([]Entry, 0, len(f.rows))
+	for _, r := range f.rows {
+		out = append(out, Entry{Name: r.Name, Units: r.Units})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -87,14 +135,14 @@ func (f *FPTable) Entries() []Entry {
 // the aggregate-capacity requirement the hybrid compares against the
 // core count.
 func (f *FPTable) AverageUnits() float64 {
-	if len(f.units) == 0 {
+	if len(f.rows) == 0 {
 		return 0
 	}
 	total := 0
-	for _, u := range f.units {
-		total += u
+	for _, r := range f.rows {
+		total += r.Units
 	}
-	return float64(total) / float64(len(f.units))
+	return float64(total) / float64(len(f.rows))
 }
 
 // ChooseSLICC implements the hybrid decision (Section 5.5): use SLICC

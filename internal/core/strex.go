@@ -47,8 +47,10 @@ type Team struct {
 	hasLead bool
 }
 
-// NewTeam creates a team for transactions with the given header address.
-func NewTeam(header uint32) *Team { return &Team{Header: header} }
+// Reset empties the team for a new formation with the given header
+// address, keeping its queue's storage: a core that reuses one Team
+// forms every later team without allocating.
+func (t *Team) Reset(header uint32) { *t = Team{Header: header, queue: t.queue[:0]} }
 
 // Size returns the number of queued threads (including one currently
 // popped for execution only if it has been pushed back).
@@ -126,11 +128,12 @@ type Candidate struct {
 // by the oldest pending transaction; same-header transactions join up to
 // the team-size limit. A stray transaction (no same-type peers) yields a
 // singleton team, preserving the paper's "scheduled individually" rule.
-// The returned slice lists the members in arrival order; nil means the
-// window was empty.
-func FormTeam(window []Candidate, cfg FormationConfig) []Candidate {
+// The members are appended to dst in arrival order, so a caller that
+// keeps one buffer forms every team without allocating; an empty window
+// appends nothing.
+func FormTeam(dst, window []Candidate, cfg FormationConfig) []Candidate {
 	if len(window) == 0 {
-		return nil
+		return dst
 	}
 	if cfg.TeamSize <= 0 {
 		cfg.TeamSize = 1
@@ -140,14 +143,15 @@ func FormTeam(window []Candidate, cfg FormationConfig) []Candidate {
 		n = cfg.Window
 	}
 	seed := window[0]
-	team := []Candidate{seed}
+	limit := len(dst) + cfg.TeamSize
+	dst = append(dst, seed)
 	for _, c := range window[1:n] {
-		if len(team) >= cfg.TeamSize {
+		if len(dst) >= limit {
 			break
 		}
 		if c.Header == seed.Header {
-			team = append(team, c)
+			dst = append(dst, c)
 		}
 	}
-	return team
+	return dst
 }

@@ -28,9 +28,8 @@ func newStrex() sim.Scheduler    { return sched.NewStrex() }
 // distinct identity — they live in sim.Config, which is part of the
 // dedup key.
 const (
-	idBase   = "base"
-	idSlicc  = "slicc"
-	idHybrid = "hybrid/s3"
+	idBase  = "base"
+	idSlicc = "slicc"
 )
 
 func strexTeamID(teamSize int) string { return fmt.Sprintf("strex/w30/t%d", teamSize) }
@@ -43,19 +42,23 @@ func newStrexTeam(teamSize int) func() sim.Scheduler {
 	}
 }
 
-// newHybrid profiles set at construction time (in the worker); profiling
-// only reads the set, which is safe under the workload ownership rule.
-func newHybrid(set *workload.Set, cores int) func() sim.Scheduler {
-	return func() sim.Scheduler { return sched.NewHybrid(set, cores, 3) }
-}
-
-// runHybridReps submits a replicated hybrid cell: the hybrid profiles
-// its workload at construction, so each replicate gets a factory
-// closing over its own trace draw (the profiled set must be the
-// replayed set).
+// runHybridReps submits a replicated hybrid cell as the mechanism the
+// hybrid picks (Section 5.5): each replicate's set is profiled once and
+// the replicate runs as plain SLICC or STREX, under that mechanism's
+// identity — so the executor serves it from the identical Figure 5
+// cell instead of simulating it again. Replicates profile their own
+// trace draws and may pick differently.
 func (s *Suite) runHybridReps(label string, sets []*workload.Set, cores int) *Reps {
-	schedFor := func(rep int) func() sim.Scheduler { return newHybrid(sets[rep], cores) }
-	return s.submitReps(label, idHybrid, sets, cores, schedFor, newHybrid(sets[0], cores), nil)
+	ids := make([]string, len(sets))
+	mks := make([]func() sim.Scheduler, len(sets))
+	for rep, set := range sets {
+		ids[rep], mks[rep] = idStrex, newStrex
+		if core.MeasureFPTable(set, core.HybridSamples).ChooseSLICC(cores) {
+			ids[rep], mks[rep] = idSlicc, newSlicc
+		}
+	}
+	schedFor := func(rep int) (string, func() sim.Scheduler) { return ids[rep], mks[rep] }
+	return s.submitReps(label, ids[0], sets, cores, schedFor, mks[0], nil)
 }
 
 // replicate builds the Figure 4 "hypothetical workload": each of the
@@ -191,20 +194,16 @@ func meanReduction(base, test []float64) float64 {
 	return sum / float64(len(base))
 }
 
-// Figure6 reports throughput for Base, Next-line, PIF (upper bound),
-// SLICC, STREX and the hybrid, normalized to the 2-core baseline of each
-// workload.
-func (s *Suite) Figure6() *metrics.Table {
-	tab := &metrics.Table{
-		Title:  "Figure 6: Relative throughput (normalized to 2-core Base)",
-		Header: []string{"workload", "cores", "Base", "Next-line", "PIF-No Overhead", "SLICC", "STREX", "STREX+SLICC"},
-	}
-	type cell struct {
-		wl    string
-		cores int
-		reps  []*Reps // Base, Next-line, PIF, SLICC, STREX, hybrid
-	}
-	var cells []cell
+// fig6Cell is one Figure 6 row's submitted runs.
+type fig6Cell struct {
+	wl    string
+	cores int
+	reps  []*Reps // Base, Next-line, PIF, SLICC, STREX, hybrid
+}
+
+// figure6Cells submits every Figure 6 run and returns the rows' batches.
+func (s *Suite) figure6Cells() []fig6Cell {
+	var cells []fig6Cell
 	for _, wl := range WorkloadNames() {
 		for _, cores := range s.opts.Cores {
 			sets := s.setsSized(wl, s.cellTxns(cores, 10))
@@ -212,7 +211,7 @@ func (s *Suite) Figure6() *metrics.Table {
 				label := fmt.Sprintf("fig6/%s/%dc/%s", wl, cores, tag)
 				return s.runReps(label, id, sets, cores, mk, mutate)
 			}
-			cells = append(cells, cell{wl: wl, cores: cores, reps: []*Reps{
+			cells = append(cells, fig6Cell{wl: wl, cores: cores, reps: []*Reps{
 				submit("base", idBase, newBaseline, nil),
 				submit("next", idBase, newBaseline, func(c *sim.Config) { c.Prefetcher = prefetch.NextLine }),
 				submit("pif", idBase, newBaseline, func(c *sim.Config) { c.Prefetcher = prefetch.PIF }),
@@ -222,6 +221,18 @@ func (s *Suite) Figure6() *metrics.Table {
 			}})
 		}
 	}
+	return cells
+}
+
+// Figure6 reports throughput for Base, Next-line, PIF (upper bound),
+// SLICC, STREX and the hybrid, normalized to the 2-core baseline of each
+// workload.
+func (s *Suite) Figure6() *metrics.Table {
+	tab := &metrics.Table{
+		Title:  "Figure 6: Relative throughput (normalized to 2-core Base)",
+		Header: []string{"workload", "cores", "Base", "Next-line", "PIF-No Overhead", "SLICC", "STREX", "STREX+SLICC"},
+	}
+	cells := s.figure6Cells()
 	var base2 float64
 	for i, c := range cells {
 		if i == 0 || c.wl != cells[i-1].wl {

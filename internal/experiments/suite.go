@@ -472,15 +472,19 @@ func (s *Suite) runReps(label, schedID string, sets []*workload.Set, cores int, 
 }
 
 // submitReps is runReps with an optional per-replicate scheduler
-// factory (profiling schedulers must profile their replicate's set);
-// schedFor nil shares mk across replicates.
-func (s *Suite) submitReps(label, schedID string, sets []*workload.Set, cores int, schedFor func(rep int) func() sim.Scheduler, mk func() sim.Scheduler, mutate func(*sim.Config)) *Reps {
+// identity and factory (the hybrid resolves per replicate set);
+// schedFor nil shares schedID and mk across replicates.
+func (s *Suite) submitReps(label, schedID string, sets []*workload.Set, cores int, schedFor func(rep int) (string, func() sim.Scheduler), mk func() sim.Scheduler, mutate func(*sim.Config)) *Reps {
 	rs := runner.ReplicateSpec{Spec: s.spec(label, schedID, sets[0], cores, mk, mutate)}
 	rs.SetFor = func(rep int) *workload.Set { return sets[rep] }
 	rs.SchedFor = schedFor
 	rs.KeyFor = func(rep int, cfg sim.Config) string { return s.cacheKey(label, cfg, sets[rep]) }
 	rs.RemoteFor = func(rep int, cfg sim.Config, cacheKey string) interface{} {
-		return s.remotePayload(label, cfg, schedID, sets[rep], cacheKey)
+		id := schedID
+		if schedFor != nil {
+			id, _ = schedFor(rep)
+		}
+		return s.remotePayload(label, cfg, id, sets[rep], cacheKey)
 	}
 	seeds := make([]uint64, len(sets))
 	for rep := range seeds {

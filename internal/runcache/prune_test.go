@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"strex/internal/bench"
+	"strex/internal/core"
 )
 
 // TestPruneSparesInFlightTempFiles covers the multi-process contract:
@@ -101,5 +102,76 @@ func TestPruneConcurrentWriters(t *testing.T) {
 	}
 	if _, ok := c.GetSet(k); !ok {
 		t.Fatal("cache unusable after concurrent prune storm")
+	}
+}
+
+// TestPruneEvictsEveryRecordKind: Prune bounds the whole directory, so
+// every artifact kind is evictable, oldest first — a trace, a result
+// record, a footprint record and a result record in the retired JSON
+// form, which nothing reads and nothing else would ever remove.
+func TestPruneEvictsEveryRecordKind(t *testing.T) {
+	c := testCache(t)
+	set, err := bench.BuildSet("SmallBank", 4, bench.Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := SetKey{Workload: "SmallBank", Seed: 9, Txns: 4, TypeID: -1}
+	const run = "ab01"
+	if err := c.PutSet(key, set); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutResult(run, sampleRecord(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutFootprint(key, 3, core.MeasureFPTable(set, 3)); err != nil {
+		t.Fatal(err)
+	}
+	retired := filepath.Join(c.Dir(), "results", "cd", "cd02.json")
+	if err := os.MkdirAll(filepath.Dir(retired), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(retired, []byte(`{"schema_version":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fpHash := footprintHash(key, 3)
+	// Oldest first: the retired record, the footprint, the result, the trace.
+	paths := []string{
+		retired,
+		filepath.Join(c.Dir(), "footprints", fpHash[:2], fpHash+".fp"),
+		filepath.Join(c.Dir(), "results", run[:2], run+".rec"),
+		filepath.Join(c.Dir(), "traces", key.Hash()[:2], key.Hash()+".strextrace"),
+	}
+	var sizes []int64
+	for i, p := range paths {
+		mtime := time.Unix(1000+int64(i)*100, 0)
+		if err := os.Chtimes(p, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, info.Size())
+	}
+	size, err := c.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		size -= sizes[i]
+		if removed, err := c.Prune(size); err != nil || removed != 1 {
+			t.Fatalf("prune to %d bytes removed %d files (err %v), want 1", size, removed, err)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived its turn (stat err %v)", p, err)
+		}
+		for _, later := range paths[i+1:] {
+			if _, err := os.Stat(later); err != nil {
+				t.Fatalf("%s evicted before %s: %v", later, p, err)
+			}
+		}
+	}
+	if _, ok := c.GetFootprint(key, 3); ok {
+		t.Fatal("pruned footprint still served")
 	}
 }

@@ -20,6 +20,7 @@
 //
 //	<dir>/traces/<hh>/<hash>.strextrace   memoized workload sets
 //	<dir>/results/<hh>/<hash>.rec         memoized run records
+//	<dir>/footprints/<hh>/<hash>.fp       memoized hybrid profiles
 //
 // where <hh> is the first two hex digits of the hash (fan-out keeps
 // directories small). All writes are atomic (temp file + rename), so a
@@ -69,12 +70,14 @@ func DefaultDir() string {
 
 // Stats counts cache traffic since the Cache was opened.
 type Stats struct {
-	TraceHits, TraceMisses   int64
-	ResultHits, ResultMisses int64
-	// TraceCorrupt and ResultCorrupt count the misses whose artifact
-	// existed but failed to read or decode (a torn file, a flipped
-	// bit, a stale format), apart from those where it was absent.
-	TraceCorrupt, ResultCorrupt int64
+	TraceHits, TraceMisses         int64
+	ResultHits, ResultMisses       int64
+	FootprintHits, FootprintMisses int64
+	// TraceCorrupt, ResultCorrupt and FootprintCorrupt count the misses
+	// whose artifact existed but failed to read or decode (a torn file,
+	// a flipped bit, a stale format), apart from those where it was
+	// absent.
+	TraceCorrupt, ResultCorrupt, FootprintCorrupt int64
 	// BytesRead is the artifact volume served by hits; BytesWritten the
 	// volume stored. Together with the hit counters they answer the
 	// operational question "is this cache earning its disk": a warm
@@ -87,10 +90,11 @@ type Stats struct {
 type Cache struct {
 	dir string
 
-	traceHits, traceMisses      atomic.Int64
-	resultHits, resultMisses    atomic.Int64
-	traceCorrupt, resultCorrupt atomic.Int64
-	bytesRead, bytesWritten     atomic.Int64
+	traceHits, traceMisses                        atomic.Int64
+	resultHits, resultMisses                      atomic.Int64
+	footprintHits, footprintMisses                atomic.Int64
+	traceCorrupt, resultCorrupt, footprintCorrupt atomic.Int64
+	bytesRead, bytesWritten                       atomic.Int64
 }
 
 // Open returns a cache rooted at dir, creating it if needed.
@@ -98,7 +102,7 @@ func Open(dir string) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("runcache: empty cache directory")
 	}
-	for _, sub := range []string{"traces", "results"} {
+	for _, sub := range []string{"traces", "results", "footprints"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("runcache: %w", err)
 		}
@@ -123,14 +127,17 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		TraceHits:     c.traceHits.Load(),
-		TraceMisses:   c.traceMisses.Load(),
-		ResultHits:    c.resultHits.Load(),
-		ResultMisses:  c.resultMisses.Load(),
-		TraceCorrupt:  c.traceCorrupt.Load(),
-		ResultCorrupt: c.resultCorrupt.Load(),
-		BytesRead:     c.bytesRead.Load(),
-		BytesWritten:  c.bytesWritten.Load(),
+		TraceHits:        c.traceHits.Load(),
+		TraceMisses:      c.traceMisses.Load(),
+		ResultHits:       c.resultHits.Load(),
+		ResultMisses:     c.resultMisses.Load(),
+		FootprintHits:    c.footprintHits.Load(),
+		FootprintMisses:  c.footprintMisses.Load(),
+		TraceCorrupt:     c.traceCorrupt.Load(),
+		ResultCorrupt:    c.resultCorrupt.Load(),
+		FootprintCorrupt: c.footprintCorrupt.Load(),
+		BytesRead:        c.bytesRead.Load(),
+		BytesWritten:     c.bytesWritten.Load(),
 	}
 }
 
@@ -304,12 +311,17 @@ func (c *Cache) Size() (int64, error) {
 var pruneTempGrace = 15 * time.Minute
 
 // Prune evicts least-recently-modified artifacts until the cache is at
-// or below maxBytes (0 empties it entirely). It returns the number of
-// files removed. Orphaned temp files (older than pruneTempGrace) are
-// always removed; young ones are left alone as probable in-flight
-// writes from a concurrent process. Prune is safe to run while other
-// processes read and write the same directory: files that vanish
-// between the scan and the removal are simply counted as already gone.
+// or below maxBytes (0 empties it entirely). Every file under the cache
+// root counts and may go: traces, result records, footprint records,
+// and result records in the retired JSON form
+// (results/<hh>/<hash>.json), which nothing reads any more. It returns
+// the number of files removed. Orphaned temp files (older than
+// pruneTempGrace) are always removed; young ones are left alone as
+// probable in-flight writes from a concurrent process. Prune is safe to
+// run while other processes read and write the same directory: files
+// that vanish between the scan and the removal are simply counted as
+// already gone. No CLI or daemon calls Prune: a cache directory grows
+// until it is deleted, or until a Go caller prunes it.
 func (c *Cache) Prune(maxBytes int64) (int, error) {
 	if !c.Enabled() {
 		return 0, nil

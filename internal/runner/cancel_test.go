@@ -170,11 +170,11 @@ func TestBatchPanicDrainDeterministic(t *testing.T) {
 				Set:    set,
 				Sched:  func() sim.Scheduler { return sched.NewBaseline() },
 			}}
-			rs.SchedFor = func(rep int) func() sim.Scheduler {
+			rs.SchedFor = func(rep int) (string, func() sim.Scheduler) {
 				if panicReps[rep] {
-					return func() sim.Scheduler { panic(fmt.Sprintf("boom-rep-%d", rep)) }
+					return "", func() sim.Scheduler { panic(fmt.Sprintf("boom-rep-%d", rep)) }
 				}
-				return nil
+				return "", nil
 			}
 			b := x.SubmitReplicates(rs, n)
 			got := func() (v interface{}) {

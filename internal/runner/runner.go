@@ -28,9 +28,8 @@
 //	    res := f.Result() // submission order, identical to serial
 //	}
 //
-// Scheduler construction runs inside the worker goroutine (profiling
-// schedulers like the hybrid read the workload set), so the Sched factory
-// must only read shared data, never mutate it.
+// Scheduler construction runs inside the worker goroutine, so the Sched
+// factory must only read shared data, never mutate it.
 package runner
 
 import (
@@ -599,10 +598,12 @@ type ReplicateSpec struct {
 	// nil return keeps the replicate's set.
 	LoadSetFor func(rep int) func() (*workload.Set, error)
 	// SchedFor, when non-nil, supplies replicate rep's scheduler
-	// factory. Profiling schedulers (the hybrid) close over the set
-	// they profile, which must be the set the replicate replays; fixed
-	// schedulers leave this nil and share Spec.Sched.
-	SchedFor func(rep int) func() sim.Scheduler
+	// identity and factory (Spec.SchedID and Spec.Sched). A selection
+	// resolved per draw needs it: the hybrid profiles each replicate's
+	// own set and may pick a different mechanism for each, and every
+	// replicate must run, dedup and key under the mechanism it picked.
+	// A nil factory keeps Spec's; fixed schedulers leave this nil.
+	SchedFor func(rep int) (id string, mk func() sim.Scheduler)
 	// KeyFor, when non-nil, supplies replicate rep's run-cache key given
 	// its final config (whose Seed differs per replicate, so every
 	// replicate is individually cache-addressable). When nil, replicate
@@ -686,8 +687,8 @@ func (x *Executor) SubmitReplicates(rs ReplicateSpec, n int) *Batch {
 			}
 		}
 		if rs.SchedFor != nil {
-			if mk := rs.SchedFor(rep); mk != nil {
-				spec.Sched = mk
+			if id, mk := rs.SchedFor(rep); mk != nil {
+				spec.SchedID, spec.Sched = id, mk
 			}
 		}
 		if rs.KeyFor != nil {

@@ -74,7 +74,7 @@ func TestDispatchPlacementsMatchReference(t *testing.T) {
 		{"Base", func(*workload.Set, int) sim.Scheduler { return NewBaseline() }},
 		{"STREX", func(*workload.Set, int) sim.Scheduler { return NewStrex() }},
 		{"SLICC", func(*workload.Set, int) sim.Scheduler { return NewSlicc() }},
-		{"Hybrid", func(set *workload.Set, cores int) sim.Scheduler { return NewHybrid(set, cores, 3) }},
+		{"Hybrid", newHybrid},
 	}
 	// TPC-C against a small L1-I makes STREX switch and SLICC migrate at
 	// every core count, so quanta end by yield and migration as well as

@@ -91,7 +91,7 @@ func TestEngineMatchesReferenceSelector(t *testing.T) {
 		{"Base", func(*workload.Set, int) sim.Scheduler { return NewBaseline() }},
 		{"STREX", func(*workload.Set, int) sim.Scheduler { return NewStrex() }},
 		{"SLICC", func(*workload.Set, int) sim.Scheduler { return NewSlicc() }},
-		{"Hybrid", func(set *workload.Set, cores int) sim.Scheduler { return NewHybrid(set, cores, 3) }},
+		{"Hybrid", newHybrid},
 	}
 	// Non-power-of-two core counts exercise the modulo fallbacks behind
 	// the bitmask fast paths (cache sets, L2 slice interleave).

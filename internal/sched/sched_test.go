@@ -39,7 +39,7 @@ func TestAllSchedulersComplete(t *testing.T) {
 		run(t, tpccSet, cores, NewBaseline())
 		run(t, tpccSet, cores, NewStrex())
 		run(t, tpccSet, cores, NewSlicc())
-		run(t, tpccSet, cores, NewHybrid(tpccSet, cores, 2))
+		run(t, tpccSet, cores, newHybrid(tpccSet, cores))
 	}
 }
 
@@ -131,6 +131,15 @@ func TestSliccNeedsCores(t *testing.T) {
 	}
 }
 
+// newHybrid resolves the hybrid for set on cores cores, as its callers
+// do before they submit a run: the mechanism it picks, fresh.
+func newHybrid(set *workload.Set, cores int) sim.Scheduler {
+	if core.MeasureFPTable(set, core.HybridSamples).ChooseSLICC(cores) {
+		return NewSlicc()
+	}
+	return NewStrex()
+}
+
 func TestHybridChoosesByCoreCount(t *testing.T) {
 	// Section 5.5.1: STREX on 2–8 cores for TPC-C, SLICC at 16;
 	// for TPC-E, STREX on 2–4 and SLICC at 8+.
@@ -145,20 +154,27 @@ func TestHybridChoosesByCoreCount(t *testing.T) {
 		{tpceSet, 4, false},
 		{tpceSet, 16, true},
 	} {
-		h := NewHybrid(tc.set, tc.cores, 3)
-		if h.ChoseSLICC() != tc.wantSlicc {
+		fp := core.MeasureFPTable(tc.set, core.HybridSamples)
+		if got := fp.ChooseSLICC(tc.cores); got != tc.wantSlicc {
 			t.Errorf("%s on %d cores: hybrid chose SLICC=%v, want %v (avg fp %.1f units)",
-				tc.set.Name, tc.cores, h.ChoseSLICC(), tc.wantSlicc, h.FPTable().AverageUnits())
+				tc.set.Name, tc.cores, got, tc.wantSlicc, fp.AverageUnits())
+		}
+		want := "STREX"
+		if tc.wantSlicc {
+			want = "SLICC"
+		}
+		if got := newHybrid(tc.set, tc.cores).Name(); got != want {
+			t.Errorf("%s on %d cores: hybrid runs %s, want %s", tc.set.Name, tc.cores, got, want)
 		}
 	}
 }
 
 func TestHybridTPCEAt8Cores(t *testing.T) {
 	// The paper's TPC-E average footprint is 7.9 units -> SLICC at 8.
-	h := NewHybrid(tpceSet, 8, 3)
-	if !h.ChoseSLICC() {
+	fp := core.MeasureFPTable(tpceSet, core.HybridSamples)
+	if !fp.ChooseSLICC(8) {
 		t.Skipf("measured TPC-E avg footprint %.1f units rounds above 8; hybrid stays with STREX",
-			h.FPTable().AverageUnits())
+			fp.AverageUnits())
 	}
 }
 

@@ -40,6 +40,9 @@ type Slicc struct {
 	// reason (Section 5.1: "SLICC forms teams of up to 2N threads").
 	entryCore map[uint32]int
 	nextEntry int
+	// states backs every thread's sliccState, indexed by
+	// sim.Thread.Index; Bind sizes it, so no thread allocates its own.
+	states []sliccState
 
 	missQLen   int // missed-tag queue length
 	window     int // shift-vector window (accesses)
@@ -180,16 +183,34 @@ func (s *Slicc) OnHitRun(coreID int, entries int, instrs uint64) {
 	}
 }
 
-// Bind implements sim.Scheduler.
+// Bind implements sim.Scheduler. Re-binding resets the queues, the
+// entry-core map and the state arena in place, so a scheduler bound to
+// a same-shaped engine again allocates nothing.
 func (s *Slicc) Bind(e *sim.Engine) {
 	s.e = e
 	n := e.Cores()
-	s.queues = make([]runQueue, n)
-	slots := make([]*sim.Thread, n*2*n)
-	for c := range s.queues {
-		s.queues[c].buf = slots[c*2*n : (c+1)*2*n : (c+1)*2*n]
+	if len(s.queues) != n {
+		s.queues = make([]runQueue, n)
+		slots := make([]*sim.Thread, n*2*n)
+		for c := range s.queues {
+			s.queues[c].buf = slots[c*2*n : (c+1)*2*n : (c+1)*2*n]
+		}
 	}
-	s.entryCore = make(map[uint32]int)
+	for c := range s.queues {
+		q := &s.queues[c]
+		clear(q.buf)
+		q.head, q.n = 0, 0
+	}
+	if s.entryCore == nil {
+		s.entryCore = make(map[uint32]int)
+	}
+	clear(s.entryCore)
+	s.nextEntry, s.inFlight = 0, 0
+	if threads := e.ThreadCount(); cap(s.states) < threads {
+		s.states = make([]sliccState, threads)
+	} else {
+		s.states = s.states[:threads]
+	}
 }
 
 // Dispatch implements sim.Scheduler: run the local queue; refill the
@@ -204,7 +225,9 @@ func (s *Slicc) Dispatch(coreID int) *sim.Thread {
 	}
 	t := q.pop()
 	if t.Scratch == nil {
-		t.Scratch = &sliccState{windowLeft: s.window}
+		st := &s.states[t.Index()]
+		*st = sliccState{windowLeft: s.window}
+		t.Scratch = st
 	}
 	return t
 }

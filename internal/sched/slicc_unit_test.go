@@ -134,17 +134,3 @@ func TestSliccSingleCoreDegradesGracefully(t *testing.T) {
 		}
 	}
 }
-
-func TestHybridDelegatesEverything(t *testing.T) {
-	set := segmentedSet(8, 2, 300, 1)
-	h := NewHybrid(set, 2, 2)
-	res := sim.New(sim.DefaultConfig(2), set, h).Run()
-	for _, th := range res.Threads {
-		if !th.Cursor.Done() {
-			t.Fatal("hybrid lost a thread")
-		}
-	}
-	if h.Name() == "" || h.FPTable() == nil {
-		t.Fatal("hybrid introspection broken")
-	}
-}

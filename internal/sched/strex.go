@@ -15,20 +15,18 @@ type Strex struct {
 	e   *sim.Engine
 	cfg core.FormationConfig
 
-	perCore []*strexCore
-	// thread bookkeeping: engine Thread -> stable ThreadID
-	ids  map[*sim.Thread]core.ThreadID
-	byID map[core.ThreadID]*sim.Thread
-	next core.ThreadID
+	perCore []strexCore
+	// window and members are formTeam's candidate and member buffers,
+	// reused by every formation. A thread's core.ThreadID is its
+	// sim.Thread.Index, so no map ties the two together.
+	window  []core.Candidate
+	members []core.Candidate
 }
 
 type strexCore struct {
-	team  *core.Team
-	phase core.PhaseCounter
-	// leadRunning marks that the currently installed thread is the lead
-	// (so we know to bump the phase next time it resumes).
-	running core.ThreadID
-	hasRun  bool
+	team   core.Team // reused by every team the core forms
+	formed bool      // team holds a formed team; false once it drains
+	phase  core.PhaseCounter
 }
 
 // NewStrex builds the scheduler with the paper's defaults (window 30,
@@ -44,7 +42,7 @@ func NewStrexSized(cfg core.FormationConfig) *Strex {
 	if cfg.Window <= 0 {
 		cfg.Window = 30
 	}
-	return &Strex{cfg: cfg, ids: map[*sim.Thread]core.ThreadID{}, byID: map[core.ThreadID]*sim.Thread{}}
+	return &Strex{cfg: cfg}
 }
 
 // Name implements sim.Scheduler.
@@ -60,45 +58,41 @@ func (s *Strex) Hooks() sim.HookMask { return sim.HookWouldEvict }
 // TeamSize returns the configured maximum team size.
 func (s *Strex) TeamSize() int { return s.cfg.TeamSize }
 
-// Bind implements sim.Scheduler.
+// Bind implements sim.Scheduler. Re-binding resets every per-core
+// structure in place, so a scheduler bound to a same-shaped engine again
+// allocates nothing.
 func (s *Strex) Bind(e *sim.Engine) {
 	s.e = e
-	s.perCore = make([]*strexCore, e.Cores())
+	n := e.Cores()
+	if cap(s.perCore) < n {
+		s.perCore = make([]strexCore, n)
+	}
+	s.perCore = s.perCore[:n]
 	for i := range s.perCore {
-		s.perCore[i] = &strexCore{}
+		sc := &s.perCore[i]
+		sc.team.Reset(0)
+		sc.formed = false
+		sc.phase.Reset()
 	}
-}
-
-func (s *Strex) idOf(t *sim.Thread) core.ThreadID {
-	if id, ok := s.ids[t]; ok {
-		return id
-	}
-	id := s.next
-	s.next++
-	s.ids[t] = id
-	s.byID[id] = t
-	return id
 }
 
 // Dispatch implements sim.Scheduler: pop the core's team queue; when the
 // team drains, form the next team from the pending window (rule 6: the
 // core becomes available for another team).
 func (s *Strex) Dispatch(coreID int) *sim.Thread {
-	sc := s.perCore[coreID]
+	sc := &s.perCore[coreID]
 	for {
-		if sc.team != nil {
+		if sc.formed {
 			if id, ok := sc.team.Pop(); ok {
-				t := s.byID[id]
+				t := s.e.Thread(int(id))
 				if sc.team.IsLead(id) {
 					// Rule 2: whenever the lead resumes execution, it
 					// increments the phaseID counter.
 					sc.phase.Increment()
 				}
-				sc.running = id
-				sc.hasRun = true
 				return t
 			}
-			sc.team = nil // drained
+			sc.formed = false // drained
 		}
 		if !s.formTeam(coreID) {
 			return nil
@@ -113,18 +107,18 @@ func (s *Strex) formTeam(coreID int) bool {
 	if len(pending) == 0 {
 		return false
 	}
-	window := make([]core.Candidate, len(pending))
+	s.window = s.window[:0]
 	for i, t := range pending {
-		window[i] = core.Candidate{ID: s.idOf(t), Header: t.Txn.Header, Arrival: i}
+		s.window = append(s.window, core.Candidate{ID: core.ThreadID(t.Index()), Header: t.Txn.Header, Arrival: i})
 	}
-	members := core.FormTeam(window, s.cfg)
-	team := core.NewTeam(members[0].Header)
-	for _, m := range members {
-		team.Add(m.ID)
-		s.e.TakePending(s.byID[m.ID])
+	s.members = core.FormTeam(s.members[:0], s.window, s.cfg)
+	sc := &s.perCore[coreID]
+	sc.team.Reset(s.members[0].Header)
+	for _, m := range s.members {
+		sc.team.Add(m.ID)
+		s.e.TakePending(s.e.Thread(int(m.ID)))
 	}
-	sc := s.perCore[coreID]
-	sc.team = team
+	sc.formed = true
 	sc.phase.Reset()
 	return true
 }
@@ -149,8 +143,8 @@ const minProgressInstrs = 256
 // is context-switched instead, and the fill is suppressed. Threads
 // running solo (singleton teams) never switch: nobody shares the cache.
 func (s *Strex) OnWouldEvict(coreID int, victimPhase uint8) bool {
-	sc := s.perCore[coreID]
-	if sc.team == nil || sc.team.Size() == 0 {
+	sc := &s.perCore[coreID]
+	if !sc.formed || sc.team.Size() == 0 {
 		return false
 	}
 	if victimPhase != sc.phase.Value() {
@@ -175,8 +169,7 @@ func (s *Strex) OnHitRun(core int, entries int, instrs uint64) {}
 // OnYield implements sim.Scheduler: the switched thread goes to the tail
 // of its team's queue.
 func (s *Strex) OnYield(coreID int, t *sim.Thread) {
-	sc := s.perCore[coreID]
-	sc.team.Requeue(s.ids[t])
+	s.perCore[coreID].team.Requeue(core.ThreadID(t.Index()))
 }
 
 // OnMigrate implements sim.Scheduler (STREX never migrates).
@@ -187,11 +180,11 @@ func (s *Strex) OnMigrate(from, to int, t *sim.Thread) {
 // OnComplete implements sim.Scheduler: if the lead finished, the next
 // thread in the queue becomes lead (rule 4).
 func (s *Strex) OnComplete(coreID int, t *sim.Thread) {
-	sc := s.perCore[coreID]
-	if sc.team == nil {
+	sc := &s.perCore[coreID]
+	if !sc.formed {
 		return
 	}
-	if sc.team.IsLead(s.ids[t]) {
+	if sc.team.IsLead(core.ThreadID(t.Index())) {
 		sc.team.RetireLead()
 	}
 }

@@ -362,6 +362,9 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	p.Counter("strexd_cache_result_misses_total", "Run result cache misses.", float64(m.Cache.ResultMisses))
 	p.Counter("strexd_cache_trace_corrupt_total", "Trace cache misses on a present but unreadable artifact.", float64(m.Cache.TraceCorrupt))
 	p.Counter("strexd_cache_result_corrupt_total", "Result cache misses on a present but unreadable record.", float64(m.Cache.ResultCorrupt))
+	p.Counter("strexd_cache_footprint_hits_total", "Hybrid footprint record hits.", float64(m.Cache.FootprintHits))
+	p.Counter("strexd_cache_footprint_misses_total", "Hybrid footprint record misses.", float64(m.Cache.FootprintMisses))
+	p.Counter("strexd_cache_footprint_corrupt_total", "Footprint record misses on a present but unreadable record.", float64(m.Cache.FootprintCorrupt))
 	p.Counter("strexd_cache_read_bytes_total", "Bytes read from the run cache.", float64(m.Cache.BytesRead))
 	p.Counter("strexd_cache_written_bytes_total", "Bytes written to the run cache.", float64(m.Cache.BytesWritten))
 

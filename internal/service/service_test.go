@@ -352,10 +352,10 @@ func testWarmResubmit(t *testing.T, spec JobSpec) {
 
 	// The disk tier must absorb too: a fresh daemon (cold memo) sharing
 	// the cache directory serves the same spec with zero generations and
-	// the cold bytes. It answers from the result records alone: with the
-	// traces deleted, a fixed-kind job neither regenerates a set nor
-	// writes a trace back. The hybrid profiles its sets to name itself,
-	// so it regenerates them, but it still runs no engine.
+	// the cold bytes. It answers from records alone: with the traces
+	// deleted, a job neither regenerates a set nor writes a trace back.
+	// The hybrid reads each draw's footprint record to pick its
+	// mechanism, then that mechanism's result records.
 	traces := filepath.Join(s.cfg.CacheDir, "traces")
 	if err := os.RemoveAll(traces); err != nil {
 		t.Fatal(err)
@@ -373,11 +373,15 @@ func testWarmResubmit(t *testing.T, spec JobSpec) {
 	if _, _, raw3 := getResultRaw(t, hs2, st3.ID); raw3 != raw1 {
 		t.Fatalf("restart result differs from cold:\n%s\nvs\n%s", raw3, raw1)
 	}
-	if spec.Sched == "hybrid" {
-		return
-	}
 	if g := bench.Generations() - g0; g != 0 {
 		t.Fatalf("restart resubmit generated %d sets, want 0", g)
+	}
+	c := getMetrics(t, hs2).Cache
+	if c.TraceHits != 0 || c.TraceMisses != 0 {
+		t.Fatalf("restart resubmit read traces: %d hits, %d misses, want none", c.TraceHits, c.TraceMisses)
+	}
+	if spec.Sched == "hybrid" && (c.FootprintHits != int64(spec.Seeds) || c.FootprintMisses != 0) {
+		t.Fatalf("restart hybrid footprint records: %d hits, %d misses, want %d hits", c.FootprintHits, c.FootprintMisses, spec.Seeds)
 	}
 	var written []string
 	if err := filepath.WalkDir(traces, func(path string, d fs.DirEntry, err error) error {

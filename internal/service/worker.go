@@ -165,7 +165,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	mk, err := shard.SchedulerFor(ws.SchedID, set, ws.Config.Cores)
+	mk, err := shard.SchedulerFor(ws.SchedID)
 	if err != nil {
 		wk.badSpecs.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -258,6 +258,9 @@ func (wk *Worker) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	p.Counter("strexworker_cache_result_misses_total", "Run result cache misses.", float64(st.ResultMisses))
 	p.Counter("strexworker_cache_trace_corrupt_total", "Trace cache misses on a present but unreadable artifact.", float64(st.TraceCorrupt))
 	p.Counter("strexworker_cache_result_corrupt_total", "Result cache misses on a present but unreadable record.", float64(st.ResultCorrupt))
+	p.Counter("strexworker_cache_footprint_hits_total", "Hybrid footprint record hits.", float64(st.FootprintHits))
+	p.Counter("strexworker_cache_footprint_misses_total", "Hybrid footprint record misses.", float64(st.FootprintMisses))
+	p.Counter("strexworker_cache_footprint_corrupt_total", "Footprint record misses on a present but unreadable record.", float64(st.FootprintCorrupt))
 
 	p.Histogram("strexworker_run_seconds", "Run RPC serve latency (successful runs).", wk.runLat.Snapshot(), 1e-9)
 	p.Histogram("strexworker_http_request_seconds", "HTTP handler latency, all endpoints.", wk.httpLat.Snapshot(), 1e-9)

@@ -55,7 +55,7 @@ func wireGrid(t *testing.T) ([]runner.Spec, *workloadFixture) {
 		for _, schedID := range []string{"base", "strex/w4/t2"} {
 			cfg := sim.DefaultConfig(cores)
 			cfg.Seed = 7
-			mk, err := shard.SchedulerFor(schedID, fx.set, cores)
+			mk, err := shard.SchedulerFor(schedID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func newWorkloadFixture(t *testing.T) *workloadFixture {
 
 func mustScheduler(t *testing.T, id string, fx *workloadFixture) func() sim.Scheduler {
 	t.Helper()
-	mk, err := shard.SchedulerFor(id, fx.set, 2)
+	mk, err := shard.SchedulerFor(id)
 	if err != nil {
 		t.Fatal(err)
 	}

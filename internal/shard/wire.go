@@ -149,8 +149,10 @@ type WireSpec struct {
 	Label string `json:"label,omitempty"`
 	// Config is the run's full sim.Config, Seed included.
 	Config sim.Config `json:"config"`
-	// SchedID is the scheduler identity ("base", "slicc",
-	// "strex/w30/t10", "hybrid/s3"; see SchedulerFor).
+	// SchedID is the identity of the scheduler that runs ("base",
+	// "slicc", "strex/w30/t10"; see SchedulerFor). The hybrid never
+	// appears here: callers resolve it to the mechanism it picks before
+	// they submit the run.
 	SchedID string `json:"sched_id"`
 	// Set describes the workload.
 	Set SetRef `json:"set"`
@@ -187,70 +189,32 @@ func Partition(key string, n int) int {
 // (the coordinator-side eligibility check). It accepts exactly the
 // identities the suite and the facade emit:
 //
-//	base | slicc | strex/w<W>/t<T> | hybrid/s<N> | hybrid/<N>
-//
-// (The facade spells the hybrid "hybrid/3", the experiment drivers
-// "hybrid/s3"; both mean NewHybrid with N profiling samples.)
+//	base | slicc | strex/w<W>/t<T>
 func ParseSchedID(id string) error {
-	_, err := schedulerSpec(id)
+	_, err := SchedulerFor(id)
 	return err
 }
 
-// schedSpec is a parsed scheduler identity.
-type schedSpec struct {
-	kind          string // "base", "slicc", "strex", "hybrid"
-	window, team  int    // strex
-	hybridSamples int    // hybrid
-}
-
-func schedulerSpec(id string) (schedSpec, error) {
+// SchedulerFor resolves a scheduler identity into a fresh-scheduler
+// factory.
+func SchedulerFor(id string) (func() sim.Scheduler, error) {
 	switch {
 	case id == "base":
-		return schedSpec{kind: "base"}, nil
-	case id == "slicc":
-		return schedSpec{kind: "slicc"}, nil
-	case strings.HasPrefix(id, "strex/"):
-		var w, t int
-		if n, err := fmt.Sscanf(id, "strex/w%d/t%d", &w, &t); err != nil || n != 2 || w <= 0 || t <= 0 {
-			return schedSpec{}, fmt.Errorf("shard: bad strex scheduler id %q (want strex/w<W>/t<T>)", id)
-		}
-		return schedSpec{kind: "strex", window: w, team: t}, nil
-	case strings.HasPrefix(id, "hybrid/"):
-		var n int
-		if c, err := fmt.Sscanf(id, "hybrid/s%d", &n); err != nil || c != 1 {
-			if c, err := fmt.Sscanf(id, "hybrid/%d", &n); err != nil || c != 1 {
-				return schedSpec{}, fmt.Errorf("shard: bad hybrid scheduler id %q (want hybrid/s<N> or hybrid/<N>)", id)
-			}
-		}
-		if n <= 0 {
-			return schedSpec{}, fmt.Errorf("shard: bad hybrid scheduler id %q (non-positive sample count)", id)
-		}
-		return schedSpec{kind: "hybrid", hybridSamples: n}, nil
-	}
-	return schedSpec{}, fmt.Errorf("shard: unknown scheduler id %q", id)
-}
-
-// SchedulerFor resolves a scheduler identity into a fresh-scheduler
-// factory for a run on set at the given core count. The factory runs in
-// the worker goroutine (the hybrid's profiling pass reads the set
-// there, like every in-process submission).
-func SchedulerFor(id string, set *workload.Set, cores int) (func() sim.Scheduler, error) {
-	spec, err := schedulerSpec(id)
-	if err != nil {
-		return nil, err
-	}
-	switch spec.kind {
-	case "base":
 		return func() sim.Scheduler { return sched.NewBaseline() }, nil
-	case "slicc":
+	case id == "slicc":
 		return func() sim.Scheduler { return sched.NewSlicc() }, nil
-	case "strex":
-		fc := core.FormationConfig{Window: spec.window, TeamSize: spec.team}
+	case strings.HasPrefix(id, "strex/"):
+		// Only the canonical spelling is accepted: Sscanf alone would also
+		// take "strex/w30/t10x" or "strex/w+30/t010" as strex/w30/t10.
+		var w, t int
+		if n, err := fmt.Sscanf(id, "strex/w%d/t%d", &w, &t); err != nil || n != 2 || w <= 0 || t <= 0 ||
+			id != fmt.Sprintf("strex/w%d/t%d", w, t) {
+			return nil, fmt.Errorf("shard: bad strex scheduler id %q (want strex/w<W>/t<T>)", id)
+		}
+		fc := core.FormationConfig{Window: w, TeamSize: t}
 		return func() sim.Scheduler { return sched.NewStrexSized(fc) }, nil
-	default: // hybrid
-		n := spec.hybridSamples
-		return func() sim.Scheduler { return sched.NewHybrid(set, cores, n) }, nil
 	}
+	return nil, fmt.Errorf("shard: unknown scheduler id %q", id)
 }
 
 // RunReply is a worker's answer to one run RPC: the serialized result

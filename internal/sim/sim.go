@@ -75,10 +75,17 @@ type Thread struct {
 	// Scratch is scheduler-private per-thread state (SLICC keeps its
 	// missed-tag queue here).
 	Scratch interface{}
+
+	index int // position in the workload set (see Index)
 }
 
 // Latency returns queue-entry-to-completion cycles (Figure 7's metric).
 func (t *Thread) Latency() uint64 { return t.FinishCycle - t.EnqueueCycle }
+
+// Index returns the thread's position in the run's workload set, in
+// [0, Engine.ThreadCount()). Schedulers key dense per-thread state on
+// it.
+func (t *Thread) Index() int { return t.index }
 
 // Core is one processor: private L1s (via the embedded Stepper, which
 // also serves the SMT model) plus its clock.
@@ -547,7 +554,7 @@ func (e *Engine) prepare(set *workload.Set, sched Scheduler) {
 	e.threads = e.threads[:0]
 	e.pending = e.pending[:0]
 	for i, tx := range set.Txns {
-		arena[i] = Thread{Txn: tx, Cursor: trace.NewCursor(tx.Trace)}
+		arena[i] = Thread{Txn: tx, Cursor: trace.NewCursor(tx.Trace), index: i}
 		e.threads = append(e.threads, &arena[i])
 		e.pending = append(e.pending, &arena[i])
 	}
@@ -600,6 +607,12 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Lat returns the timing parameters.
 func (e *Engine) Lat() memsys.Latencies { return e.mem.Lat() }
+
+// ThreadCount returns the number of threads in the run.
+func (e *Engine) ThreadCount() int { return len(e.threads) }
+
+// Thread returns the thread whose Index is i.
+func (e *Engine) Thread(i int) *Thread { return e.threads[i] }
 
 // Pending returns the scheduler-visible window of undispatched threads
 // (up to PoolWindow, arrival order).

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"strex/internal/arrival"
+	"strex/internal/core"
 	"strex/internal/runcache"
 	"strex/internal/runner"
 	"strex/internal/sim"
@@ -292,25 +293,28 @@ func runOpenLoop(ctx context.Context, x *runner.Executor, cache *runcache.Cache,
 	if err != nil {
 		return nil, err
 	}
-	s, err := cfg.scheduler(kind, mix.Set, simCfg.Cores)
+	// The hybrid profiles the merged mix, which is the set it replays.
+	ch, err := cfg.choose(kind, func() (*core.FPTable, error) {
+		return core.MeasureFPTable(mix.Set, core.HybridSamples), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	spec := runner.Spec{
-		Label:    s.Name(),
+		Label:    ch.label,
 		Config:   simCfg,
 		Set:      mix.Set,
-		Sched:    func() sim.Scheduler { return s },
+		Sched:    ch.mk,
 		Ctx:      ctx,
 		Arrivals: mix.Clocks,
-		CacheKey: openLoopKey(cache, simCfg, schedulerID(cfg, kind), tenants, ws),
+		CacheKey: openLoopKey(cache, simCfg, ch.id, tenants, ws),
 	}
 	fut := x.Submit(spec)
 	res, err := fut.Wait()
 	if err != nil {
 		return nil, err
 	}
-	out := openLoopResult(mix, tenants, s.Name(), simCfg.Cores, res)
+	out := openLoopResult(mix, tenants, ch.label, simCfg.Cores, res)
 	out.setExecuted(fut.Executed())
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"strex/internal/core"
 	"strex/internal/obs"
 	"strex/internal/runcache"
 	"strex/internal/runner"
@@ -54,31 +55,6 @@ func (p *Pool) CacheEnabled() bool { return p.cache.Enabled() }
 // concurrency-safe. See runner.Executor.SetRunObserver.
 func (p *Pool) SetRunObserver(fn func(d time.Duration)) { p.x.SetRunObserver(fn) }
 
-// schedulerID is the label-independent identity of a scheduler
-// selection — every knob that changes scheduling behaviour must appear
-// here, because it parameterizes run-cache keys (runcache.RunKey.Sched).
-func schedulerID(cfg Config, kind SchedulerKind) string {
-	switch kind {
-	case SchedBaseline:
-		return "base"
-	case SchedSTREX:
-		ts := cfg.TeamSize
-		if ts <= 0 {
-			ts = 10
-		}
-		win := cfg.PoolWindow
-		if win <= 0 {
-			win = 30
-		}
-		return fmt.Sprintf("strex/w%d/t%d", win, ts)
-	case SchedSLICC:
-		return "slicc"
-	case SchedHybrid:
-		return "hybrid/3"
-	}
-	return fmt.Sprintf("sched-%d", int(kind))
-}
-
 // runKey computes the content address of one replicate run: the full
 // simulator config, the scheduler identity, and the workload's SetKey
 // hash rebuilt from its identity — no set needed. "" = uncached (no
@@ -110,9 +86,12 @@ func (p *Pool) runKey(cfg sim.Config, schedID string, w *Workload) string {
 // its draw's set, so a cell over lazily built draws (BuildWorkload with
 // a cache directory) that hits in full reads only its records. Draws on
 // the pool's cache directory load through the pool's handle, so its
-// CacheStats count their trace traffic. The hybrid is the exception: it
-// profiles each draw's set to pick its inner scheduler, so its draws
-// are loaded before any replicate is submitted.
+// CacheStats count their trace traffic. A hybrid cell first resolves
+// each draw to the mechanism it picks, on this goroutine, from the
+// draw's footprint record in the pool's cache; only a draw without one
+// is loaded and profiled, and its record stored. Each replicate then
+// runs, and is cached, as the mechanism it picked — so a warm hybrid
+// cell reads only footprint and result records.
 //
 // onProgress, if non-nil, observes monotone completion (done, total) as
 // replicates are collected in order.
@@ -139,56 +118,31 @@ func (p *Pool) runDrawsCtx(ctx context.Context, cfg Config, draws []*Workload, k
 	if err != nil {
 		return nil, 0, err
 	}
-	rs := runner.ReplicateSpec{Spec: runner.Spec{Config: simCfg, Ctx: ctx}}
+	// Resolving on this goroutine surfaces config errors before any run
+	// starts, and keeps the hybrid's profiling off the worker pool.
+	choices := make([]schedChoice, n)
 	labels := make([]string, n)
-	if kind == SchedHybrid {
-		// The hybrid profiles each draw's set to pick its inner scheduler,
-		// and so its label: load every draw now, on this goroutine, which
-		// keeps profiling off the worker pool.
-		scheds := make([]sim.Scheduler, n)
-		for rep, w := range draws {
-			set, err := w.load(p.cache)
-			if err != nil {
-				return nil, 0, err
-			}
-			if scheds[rep], err = cfg.scheduler(kind, set, simCfg.Cores); err != nil {
-				return nil, 0, err
-			}
-			labels[rep] = scheds[rep].Name()
-		}
-		rs.SchedFor = func(rep int) func() sim.Scheduler {
-			s := scheds[rep]
-			return func() sim.Scheduler { return s }
-		}
-	} else {
-		// A fixed kind's scheduler and label need no set; building one
-		// here surfaces config errors before any run starts.
-		s, err := cfg.scheduler(kind, nil, simCfg.Cores)
-		if err != nil {
+	for rep, w := range draws {
+		w := w
+		if choices[rep], err = cfg.choose(kind, func() (*core.FPTable, error) { return w.footprint(p.cache) }); err != nil {
 			return nil, 0, err
 		}
-		for rep := range labels {
-			labels[rep] = s.Name()
-		}
-		rs.Sched = func() sim.Scheduler {
-			s, _ := cfg.scheduler(kind, nil, simCfg.Cores)
-			return s
-		}
+		labels[rep] = choices[rep].label
 	}
-	rs.Label = labels[0]
+	rs := runner.ReplicateSpec{Spec: runner.Spec{Label: labels[0], Config: simCfg, Sched: choices[0].mk, Ctx: ctx}}
+	rs.SchedFor = func(rep int) (string, func() sim.Scheduler) { return choices[rep].id, choices[rep].mk }
 	rs.LoadSetFor = func(rep int) func() (*workload.Set, error) {
 		w := draws[rep]
 		return func() (*workload.Set, error) { return w.load(p.cache) }
 	}
-	schedID := schedulerID(cfg, kind)
 	rs.KeyFor = func(rep int, c sim.Config) string {
 		if tl != nil && rep == 0 {
 			return "" // traced: must execute, not replay from cache
 		}
-		return p.runKey(c, schedID, draws[rep])
+		return p.runKey(c, choices[rep].id, draws[rep])
 	}
 	if tl != nil {
-		tl.SetMeta(draws[0].prov.Workload, schedID, simCfg.Cores)
+		tl.SetMeta(draws[0].prov.Workload, choices[0].id, simCfg.Cores)
 		rs.Trace = tl // replicate 0 only (SubmitReplicates clears the rest)
 	}
 	return collectDraws(p.x.SubmitReplicates(rs, n), draws, labels, simCfg.Cores, onProgress)

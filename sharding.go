@@ -15,6 +15,7 @@ import (
 	"log/slog"
 
 	"strex/internal/bench"
+	"strex/internal/core"
 	"strex/internal/runner"
 	"strex/internal/shard"
 	"strex/internal/sim"
@@ -138,24 +139,26 @@ func RunManySharded(w *Workload, specs []RunSpec, opt GridOptions) ([]Result, er
 		name string
 	}
 	runs := make([]run, len(specs))
+	profile := func() (*core.FPTable, error) { return w.footprint(nil) }
 	for i, rs := range specs {
 		simCfg, err := rs.Config.build()
 		if err != nil {
 			return nil, err
 		}
-		// Schedulers are built eagerly on this goroutine: it surfaces
+		// Selections are resolved eagerly on this goroutine: it surfaces
 		// config errors before any run starts, and the hybrid's profiling
-		// pass stays off the worker pool.
-		s, err := rs.Config.scheduler(rs.Sched, set, simCfg.Cores)
+		// pass stays off the worker pool. A hybrid run is submitted as the
+		// mechanism it picks, so it shares that mechanism's run.
+		ch, err := rs.Config.choose(rs.Sched, profile)
 		if err != nil {
 			return nil, err
 		}
 		spec := runner.Spec{
-			Label:   s.Name(),
+			Label:   ch.label,
 			Config:  simCfg,
 			Set:     set,
-			Sched:   func() sim.Scheduler { return s },
-			SchedID: schedulerID(rs.Config, rs.Sched),
+			Sched:   ch.mk,
+			SchedID: ch.id,
 			Ctx:     opt.Ctx,
 		}
 		if shippable && opt.Fleet.remote() != nil {
@@ -166,7 +169,7 @@ func RunManySharded(w *Workload, specs []RunSpec, opt GridOptions) ([]Result, er
 				Set:     ref,
 			}
 		}
-		runs[i] = run{spec: spec, name: s.Name()}
+		runs[i] = run{spec: spec, name: ch.label}
 	}
 	x := runner.New(opt.Parallel)
 	x.SetRemote(opt.Fleet.remote())
@@ -229,30 +232,27 @@ func RunManyDrawsSharded(draws []*Workload, specs []RunSpec, opt GridOptions) ([
 		if err != nil {
 			return nil, err
 		}
-		// Scheduler construction stays on the caller's goroutine (like
-		// RunMany's eager construction): only simulations fan out.
-		scheds := make([]sim.Scheduler, n)
+		// Selections are resolved on the caller's goroutine (like
+		// RunMany's): only simulations fan out. The hybrid resolves per
+		// draw, since each draw is profiled on its own.
+		choices := make([]schedChoice, n)
 		labels := make([]string, n)
-		for rep, set := range sets {
-			if scheds[rep], err = spec.Config.scheduler(spec.Sched, set, simCfg.Cores); err != nil {
+		for rep, w := range draws {
+			w := w
+			if choices[rep], err = spec.Config.choose(spec.Sched, func() (*core.FPTable, error) { return w.footprint(nil) }); err != nil {
 				return nil, err
 			}
-			labels[rep] = scheds[rep].Name()
+			labels[rep] = choices[rep].label
 		}
-		schedID := schedulerID(spec.Config, spec.Sched)
 		rs := runner.ReplicateSpec{Spec: runner.Spec{
-			Label:   labels[0],
-			Config:  simCfg,
-			Set:     sets[0],
-			Sched:   func() sim.Scheduler { return scheds[0] },
-			SchedID: schedID,
-			Ctx:     opt.Ctx,
+			Label:  labels[0],
+			Config: simCfg,
+			Set:    sets[0],
+			Sched:  choices[0].mk,
+			Ctx:    opt.Ctx,
 		}}
 		rs.SetFor = func(rep int) *workload.Set { return sets[rep] }
-		rs.SchedFor = func(rep int) func() sim.Scheduler {
-			s := scheds[rep]
-			return func() sim.Scheduler { return s }
-		}
+		rs.SchedFor = func(rep int) (string, func() sim.Scheduler) { return choices[rep].id, choices[rep].mk }
 		if opt.Fleet.remote() != nil {
 			label := labels[0]
 			rs.RemoteFor = func(rep int, cfg sim.Config, cacheKey string) interface{} {
@@ -262,7 +262,7 @@ func RunManyDrawsSharded(draws []*Workload, specs []RunSpec, opt GridOptions) ([
 				return &shard.WireSpec{
 					Label:    label,
 					Config:   cfg,
-					SchedID:  schedID,
+					SchedID:  choices[rep].id,
 					Set:      refs[rep],
 					CacheKey: cacheKey,
 				}

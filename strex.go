@@ -165,6 +165,11 @@ type Workload struct {
 	once sync.Once
 	set  *workload.Set
 	err  error
+
+	// fp memoizes the hybrid's profile of the set (see footprint).
+	fpOnce sync.Once
+	fp     *core.FPTable
+	fpErr  error
 }
 
 // setKey is the workload's trace-cache address, rebuilt from its
@@ -215,6 +220,36 @@ func (w *Workload) materialize(rc *runcache.Cache) (*workload.Set, error) {
 	return set, nil
 }
 
+// footprint returns the hybrid's profile of the workload's set, once
+// per workload: read from its footprint record in rc (a pool's cache;
+// nil or disabled selects the workload's own), or measured on the set,
+// which is loaded for the purpose, and stored there. A run whose
+// profile is on record therefore picks its mechanism without the set.
+func (w *Workload) footprint(rc *runcache.Cache) (*core.FPTable, error) {
+	w.fpOnce.Do(func() {
+		if !rc.Enabled() {
+			rc = w.rc
+		}
+		if w.prov.Workload == "" {
+			rc = nil // no identity to key a record on
+		}
+		key := w.setKey()
+		if fp, ok := rc.GetFootprint(key, core.HybridSamples); ok {
+			w.fp = fp
+			return
+		}
+		set, err := w.load(rc)
+		if err != nil {
+			w.fpErr = err
+			return
+		}
+		w.fp = core.MeasureFPTable(set, core.HybridSamples)
+		// A failed store degrades to "profile again next time".
+		_ = rc.PutFootprint(key, core.HybridSamples, w.fp)
+	})
+	return w.fp, w.fpErr
+}
+
 // content returns the set for the accessors that read it, loading it on
 // first use. Loading fails only when a generator breaks its own
 // contract (an invalid set or a wrong count), which no registered
@@ -240,8 +275,9 @@ func (w *Workload) Instrs() uint64 { return w.content().Instrs() }
 func (w *Workload) Types() []string { return append([]string(nil), w.content().Types...) }
 
 // FootprintUnits returns the average per-type instruction footprint in
-// 32KB L1-I units (the paper's Table 3 metric), as the hybrid's FPTable
-// profiling would measure it.
+// 32KB L1-I units (the paper's Table 3 metric), profiled as Table 3
+// profiles it: four samples per type, where the hybrid averages
+// core.HybridSamples.
 func (w *Workload) FootprintUnits() float64 {
 	return core.MeasureFPTable(w.content(), 4).AverageUnits()
 }
@@ -449,29 +485,52 @@ type Result struct {
 	Latencies []uint64
 }
 
-// scheduler builds a fresh scheduler instance for one run of set under
-// this configuration. Only the hybrid reads the set (it profiles its
-// footprints); every other kind accepts a nil set.
-func (c Config) scheduler(kind SchedulerKind, set *workload.Set, cores int) (sim.Scheduler, error) {
+// schedChoice is a scheduler selection resolved to what runs: the
+// identity its runs deduplicate and cache under (every knob that
+// changes scheduling behaviour appears in it, since it parameterizes
+// runcache.RunKey.Sched), the label its results carry, and a factory
+// for fresh instances.
+type schedChoice struct {
+	id    string
+	label string
+	mk    func() sim.Scheduler
+}
+
+// choose resolves a scheduler selection for a run on this config. The
+// hybrid resolves to the mechanism it picks for the workload profile
+// describes (called for the hybrid only), and runs as that mechanism,
+// under its identity, labelled "STREX+SLICC(<mechanism>)". Its STREX is
+// the paper's (window 30, team 10) whatever this config's team size.
+func (c Config) choose(kind SchedulerKind, profile func() (*core.FPTable, error)) (schedChoice, error) {
 	switch kind {
 	case SchedBaseline:
-		return sched.NewBaseline(), nil
+		return schedChoice{"base", "Base", func() sim.Scheduler { return sched.NewBaseline() }}, nil
 	case SchedSTREX:
-		ts := c.TeamSize
-		if ts <= 0 {
-			ts = 10
+		fc := core.FormationConfig{Window: c.PoolWindow, TeamSize: c.TeamSize}
+		if fc.TeamSize <= 0 {
+			fc.TeamSize = 10
 		}
-		win := c.PoolWindow
-		if win <= 0 {
-			win = 30
+		if fc.Window <= 0 {
+			fc.Window = 30
 		}
-		return sched.NewStrexSized(core.FormationConfig{Window: win, TeamSize: ts}), nil
+		id := fmt.Sprintf("strex/w%d/t%d", fc.Window, fc.TeamSize)
+		return schedChoice{id, "STREX", func() sim.Scheduler { return sched.NewStrexSized(fc) }}, nil
 	case SchedSLICC:
-		return sched.NewSlicc(), nil
+		return schedChoice{"slicc", "SLICC", func() sim.Scheduler { return sched.NewSlicc() }}, nil
 	case SchedHybrid:
-		return sched.NewHybrid(set, cores, 3), nil
+		fp, err := profile()
+		if err != nil {
+			return schedChoice{}, err
+		}
+		inner := SchedSTREX
+		if fp.ChooseSLICC(c.Cores) {
+			inner = SchedSLICC
+		}
+		ch, err := DefaultConfig(c.Cores).choose(inner, nil)
+		ch.label = "STREX+SLICC(" + ch.label + ")"
+		return ch, err
 	}
-	return nil, fmt.Errorf("strex: unknown scheduler %v", kind)
+	return schedChoice{}, fmt.Errorf("strex: unknown scheduler %v", kind)
 }
 
 func toResult(name string, res sim.Result, txns, cores int) Result {
@@ -527,16 +586,16 @@ func RunTraced(cfg Config, w *Workload, kind SchedulerKind, events int) (Result,
 	if err != nil {
 		return Result{}, nil, err
 	}
-	s, err := cfg.scheduler(kind, set, simCfg.Cores)
+	ch, err := cfg.choose(kind, func() (*core.FPTable, error) { return w.footprint(nil) })
 	if err != nil {
 		return Result{}, nil, err
 	}
 	tl := obs.NewTimeline(events)
-	tl.SetMeta(w.prov.Workload, s.Name(), simCfg.Cores)
-	eng := sim.New(simCfg, set, s)
+	tl.SetMeta(w.prov.Workload, ch.label, simCfg.Cores)
+	eng := sim.New(simCfg, set, ch.mk())
 	eng.SetTimeline(tl)
 	res := eng.Run().Detach()
-	return toResult(s.Name(), res, w.txns, simCfg.Cores), tl, nil
+	return toResult(ch.label, res, w.txns, simCfg.Cores), tl, nil
 }
 
 // Timeline re-exports the obs tracer type so facade callers need not
